@@ -301,6 +301,8 @@ class PackageRecommender:
         self._stale_pool: Optional[SamplePool] = None
         self._pool_provider: Optional[PoolProvider] = None
         self._last_round: Optional[RecommendationRound] = None
+        # (store, its length, constraint set) of the last constraints read.
+        self._constraints_cache: Optional[tuple] = None
         self.rounds_presented = 0
         self.clicks_received = 0
 
@@ -333,8 +335,19 @@ class PackageRecommender:
     # ------------------------------------------------------------------ state
     @property
     def constraints(self) -> ConstraintSet:
-        """The current feedback constraints (transitively reduced)."""
-        return ConstraintSet.from_store(self.preferences, reduced=True)
+        """The current feedback constraints (transitively reduced).
+
+        One :class:`ConstraintSet` is built per state of the preference
+        store, so every reader between two clicks shares it and its
+        fingerprint.  The store only grows, so its length identifies its
+        state.
+        """
+        store = self.preferences
+        cached = self._constraints_cache
+        if cached is None or cached[0] is not store or cached[1] != len(store):
+            cached = (store, len(store), ConstraintSet.from_store(store))
+            self._constraints_cache = cached
+        return cached[2]
 
     @property
     def num_feedback_preferences(self) -> int:

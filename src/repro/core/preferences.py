@@ -202,13 +202,19 @@ class PreferenceStore:
         """Record a click: ``clicked ≻ p`` for every other presented package.
 
         Returns the list of preferences that were accepted (cycle-dropped
-        preferences are omitted).
+        preferences are omitted).  Each package is aggregated once per click.
         """
+        clicked_vector = tuple(evaluator.vector(clicked).tolist())
         added: List[Preference] = []
         for package in presented:
             if package == clicked:
                 continue
-            preference = Preference.from_packages(evaluator, clicked, package)
+            preference = Preference(
+                preferred=clicked,
+                other=package,
+                preferred_vector=clicked_vector,
+                other_vector=tuple(evaluator.vector(package).tolist()),
+            )
             if self.add(preference):
                 added.append(preference)
         return added

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -27,7 +27,9 @@ class ConstraintSet:
     """Half-space constraints on weight vectors derived from feedback.
 
     A weight vector ``w`` is *valid* when ``w · d >= 0`` for every stored
-    direction ``d`` (where ``d = p_preferred - p_other``).
+    direction ``d`` (where ``d = p_preferred - p_other``).  The direction
+    matrix is read-only (a writable input is copied first), which is what
+    lets :meth:`fingerprint` be computed once per instance.
 
     Parameters
     ----------
@@ -47,10 +49,15 @@ class ConstraintSet:
                 raise ValueError(
                     "num_features is required when no directions are given"
                 )
-            self._directions = np.zeros((0, int(num_features)))
+            directions = np.zeros((0, int(num_features)))
         else:
-            self._directions = require_matrix(directions, "directions")
-        self.num_features = self._directions.shape[1]
+            directions = require_matrix(directions, "directions")
+            if directions.flags.writeable:
+                directions = directions.copy()
+        directions.flags.writeable = False
+        self._directions = directions
+        self.num_features = directions.shape[1]
+        self._fingerprints: Dict[int, str] = {}
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -167,16 +174,19 @@ class ConstraintSet:
         fingerprint.  The serving layer uses this as the key of the shared
         sample-pool cache: sessions whose feedback prefixes induce identical
         constraint sets map to the same key and can share one pool of
-        posterior samples.
+        posterior samples.  The result is memoized per ``precision``.
         """
-        rounded = np.round(self._directions, precision)
-        rounded += 0.0  # normalise -0.0 to +0.0 so signs cannot split keys
-        rows = sorted(tuple(row) for row in rounded.tolist())
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(f"m={self.num_features};c={len(rows)};".encode())
-        for row in rows:
-            digest.update(repr(row).encode())
-        return digest.hexdigest()
+        fingerprint = self._fingerprints.get(precision)
+        if fingerprint is None:
+            rounded = np.round(self._directions, precision)
+            rounded += 0.0  # normalise -0.0 to +0.0 so signs cannot split keys
+            rows = sorted(tuple(row) for row in rounded.tolist())
+            digest = hashlib.blake2b(digest_size=16)
+            digest.update(f"m={self.num_features};c={len(rows)};".encode())
+            for row in rows:
+                digest.update(repr(row).encode())
+            fingerprint = self._fingerprints[precision] = digest.hexdigest()
+        return fingerprint
 
     # --------------------------------------------------------------- extension
     def extended(self, new_directions: np.ndarray) -> "ConstraintSet":

@@ -7,9 +7,12 @@ one shared :class:`~repro.service.engine.RecommendationEngine`.  The point of
 the async layer is the ``recommend`` path: concurrent calls do not serialise
 on the sampler the way sequential ``engine.recommend`` calls do — they are
 absorbed by a :class:`~repro.service.dispatcher.MicroBatchDispatcher` window
-(default 16 requests / 2 ms) and dispatched together through
-``recommend_many``, where cache-missing sessions share one batched pool fill
-and one across-session top-k walk.  Concurrency becomes throughput.
+(default: up to 16 requests, flushed at the loop's next iteration) and
+dispatched together through ``recommend_many``, where cache-missing sessions
+share one batched pool fill and one across-session top-k walk.  Concurrency
+becomes throughput.  The window does not linger for company by default:
+requests that arrive while a batch runs queue up and form the next one, so
+batching needs no linger, and an idle-period round pays no wait.
 
 The cheap control-plane calls (``create_session``, ``feedback``,
 ``close_session``, ``snapshot``) run inline on the event loop: they touch
@@ -50,7 +53,8 @@ class AsyncRecommendationServer:
         :class:`~repro.service.dispatcher.MicroBatchDispatcher`: a window is
         dispatched once ``max_batch_size`` ``recommend`` requests are pending
         or ``max_wait`` seconds after its first request, whichever comes
-        first.
+        first; ``max_wait=0`` (default) dispatches on the loop's next
+        iteration.
     max_pending:
         Backpressure cap forwarded to the dispatcher: ``recommend`` calls
         arriving while the window already holds this many requests raise
@@ -69,7 +73,7 @@ class AsyncRecommendationServer:
         self,
         engine: RecommendationEngine,
         max_batch_size: int = 16,
-        max_wait: float = 0.002,
+        max_wait: float = 0.0,
         max_pending: Optional[int] = None,
         shed_mode: str = "reject",
     ) -> None:

@@ -5,11 +5,19 @@ The serving engine's batched paths (:meth:`RecommendationEngine.recommend_many`
 sessions are served *in one call* — but network clients issue one request
 each.  :class:`MicroBatchDispatcher` is the piece in between: concurrent
 ``recommend`` submissions accumulate in a window bounded by ``max_batch_size``
-requests and ``max_wait`` seconds (whichever trips first, the classic group
-commit rule), and the whole window is dispatched through ``recommend_many``.
-Under load the window fills instantly and every dispatch amortises sampling
-and search over up to ``max_batch_size`` sessions; an isolated request waits
-at most ``max_wait`` and then takes a single-request fast path straight to
+requests and ``max_wait`` seconds (whichever trips first), and the whole
+window is dispatched through ``recommend_many``.
+
+The default ``max_wait`` is 0: the flush timer is due at once, so the window
+flushes on the event loop's next iteration, once every request that was
+already concurrent has joined it — group commit that batches only what piles up,
+never lingering for company.  Batching survives because dispatch is
+synchronous: requests arriving while a batch executes queue up and form the
+next window.  A linger timer adds its full length to every idle-period
+round — for a round served from the caches, more than the serve itself —
+and adds few requests to a batch under load.  A positive ``max_wait`` keeps the
+linger: the window waits that long after its first request.  A window of
+one request takes a single-request fast path straight to
 ``engine.recommend``.
 
 Concurrency model: the dispatcher is single-threaded asyncio.  Dispatch runs
@@ -132,7 +140,9 @@ class MicroBatchDispatcher:
         Window flushes immediately once this many requests are pending.
     max_wait:
         Seconds the *first* request of a window waits for company before the
-        window flushes anyway (the latency bound an idle-period request pays).
+        window flushes anyway (the latency bound an idle-period request
+        pays).  ``0`` (default) flushes on the loop's next iteration, so a
+        window holds only requests that were already concurrent.
     max_pending:
         Backpressure cap on the pending window: a ``submit`` arriving while
         ``max_pending`` requests are already waiting is rejected with
@@ -159,7 +169,7 @@ class MicroBatchDispatcher:
         self,
         engine,
         max_batch_size: int = 16,
-        max_wait: float = 0.002,
+        max_wait: float = 0.0,
         max_pending: Optional[int] = None,
         shed_mode: str = "reject",
     ) -> None:

@@ -1465,7 +1465,9 @@ class RecommendationEngine:
         the repository, so serving it will trigger a fill on the owning
         shard.  Sessions whose pool is already live (or pending), sessions
         not in memory (swapped out — planning must not force a restore), and
-        repositories without shard routing are simply omitted.
+        repositories without shard routing are simply omitted.  A
+        single-shard repository (the default) has nothing to group, so its
+        plan is always empty.
 
         Purely advisory and side-effect free on session state: the
         micro-batch dispatcher uses it to order each window by owning shard
@@ -1476,7 +1478,7 @@ class RecommendationEngine:
         """
         plan: Dict[str, int] = {}
         shard_for = getattr(self.pool_repository, "shard_for", None)
-        if shard_for is None:
+        if shard_for is None or len(self.pool_repository.shards) <= 1:
             return plan
         for session_id in session_ids:
             entry = self.sessions.peek(session_id)

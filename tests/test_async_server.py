@@ -238,6 +238,128 @@ class TestDispatchWindow:
             MicroBatchDispatcher(StubEngine(), max_pending=0)
 
 
+# ==================================================== default (zero) window
+class TestDefaultWindowFlushesAtLoopIdle:
+    """``max_wait=0`` (the default) batches only already-concurrent requests."""
+
+    def test_default_max_wait_is_zero(self):
+        assert MicroBatchDispatcher(StubEngine()).max_wait == 0.0
+
+    def test_submits_in_one_loop_tick_form_one_batch(self):
+        async def main():
+            engine = StubEngine()
+            dispatcher = MicroBatchDispatcher(engine)
+            results = await asyncio.gather(dispatcher.submit("a"), dispatcher.submit("b"))
+            return engine, dispatcher, results
+
+        engine, dispatcher, results = asyncio.run(main())
+        assert results == ["round:a", "round:b"]
+        assert engine.batch_calls == [["a", "b"]]
+        assert engine.single_calls == []
+        assert dispatcher.stats.timer_flushes == 1
+
+    def test_lone_submit_resolves_without_a_timer_wait(self):
+        """A lone request is served within a few loop iterations, not after a linger."""
+
+        async def main():
+            engine = StubEngine()
+            dispatcher = MicroBatchDispatcher(engine)
+            task = asyncio.ensure_future(dispatcher.submit("solo"))
+            # Iterations: the task admits the request, the flush serves it,
+            # the task wakes with the result.
+            for _ in range(3):
+                await asyncio.sleep(0)
+            return engine, dispatcher, task
+
+        engine, dispatcher, task = asyncio.run(main())
+        assert task.done() and task.result() == "round:solo"
+        assert engine.single_calls == ["solo"]
+        assert dispatcher.stats.fast_path_serves == 1
+        assert dispatcher.stats.timer_flushes == 1
+
+    def test_submit_after_the_flush_joins_a_fresh_window(self):
+        async def main():
+            engine = StubEngine()
+            dispatcher = MicroBatchDispatcher(engine)
+            first = asyncio.ensure_future(dispatcher.submit("a"))
+            while not dispatcher.stats.timer_flushes:
+                await asyncio.sleep(0)
+            second = asyncio.ensure_future(dispatcher.submit("b"))
+            return engine, await asyncio.gather(first, second)
+
+        engine, results = asyncio.run(main())
+        assert results == ["round:a", "round:b"]
+        assert engine.single_calls == ["a", "b"]
+        assert engine.batch_calls == []
+
+    def test_size_flush_cancels_the_pending_idle_flush(self):
+        async def main():
+            engine = StubEngine()
+            dispatcher = MicroBatchDispatcher(engine, max_batch_size=2)
+            results = await asyncio.gather(
+                *(dispatcher.submit(f"s{i}") for i in range(3))
+            )
+            return engine, dispatcher, results
+
+        engine, dispatcher, results = asyncio.run(main())
+        assert results == ["round:s0", "round:s1", "round:s2"]
+        assert engine.batch_calls == [["s0", "s1"]]
+        assert engine.single_calls == ["s2"]
+        assert dispatcher.stats.size_flushes == 1
+        assert dispatcher.stats.timer_flushes == 1
+
+    def test_one_tick_overflow_is_shed(self):
+        async def main():
+            engine = StubEngine()
+            dispatcher = MicroBatchDispatcher(engine, max_pending=2)
+            results = await asyncio.gather(
+                *(dispatcher.submit(f"s{i}") for i in range(4)),
+                return_exceptions=True,
+            )
+            return engine, dispatcher, results
+
+        engine, dispatcher, results = asyncio.run(main())
+        assert results[:2] == ["round:s0", "round:s1"]
+        assert all(isinstance(r, DispatcherOverloadedError) for r in results[2:])
+        assert dispatcher.stats.requests_shed == 2
+        assert engine.batch_calls == [["s0", "s1"]]
+
+    def test_one_tick_overflow_is_degraded(self):
+        async def main():
+            engine = DegradableStubEngine(cached_ids={"s2"})
+            dispatcher = MicroBatchDispatcher(
+                engine, max_pending=2, shed_mode="degrade"
+            )
+            results = await asyncio.gather(
+                *(dispatcher.submit(f"s{i}") for i in range(4)),
+                return_exceptions=True,
+            )
+            return engine, dispatcher, results
+
+        engine, dispatcher, results = asyncio.run(main())
+        assert results[:3] == ["round:s0", "round:s1", "degraded:s2"]
+        assert isinstance(results[3], DispatcherOverloadedError)
+        assert dispatcher.stats.requests_degraded == 1
+        assert dispatcher.stats.requests_shed == 1
+        assert engine.batch_calls == [["s0", "s1"]]
+
+    def test_server_default_batches_concurrent_rounds(
+        self, serving_catalog, serving_profile
+    ):
+        async def main():
+            engine = make_engine(serving_catalog, serving_profile)
+            async with AsyncRecommendationServer(engine) as server:
+                ids = [await server.create_session(seed=i) for i in range(4)]
+                rounds = await asyncio.gather(*(server.recommend(sid) for sid in ids))
+            return server, rounds
+
+        server, rounds = asyncio.run(main())
+        assert all(round_.presented for round_ in rounds)
+        assert server.dispatcher.max_wait == 0.0
+        assert server.dispatcher.stats.batches_dispatched == 1
+        assert server.dispatcher.stats.largest_batch == 4
+
+
 # ====================================================== shard-aware dispatch
 class TestShardAwareDispatch:
     def _dispatch(self, engine, ids):

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.packages import Package
+from repro.core.elicitation import ElicitationConfig, PackageRecommender
+from repro.core.items import ItemCatalog
+from repro.core.packages import Package, PackageEvaluator
 from repro.core.preferences import (
     Preference,
     PreferenceCycleError,
     PreferenceStore,
 )
+from repro.core.profiles import AggregateProfile
+from repro.sampling.base import ConstraintSet
 
 
 def make_preference(evaluator, preferred_items, other_items):
@@ -157,3 +161,97 @@ class TestTransitiveReduction:
         store.add(make_preference(paper_example_evaluator, [0], [1]))
         assert len(store) == 2
         assert len(store.reduced_preferences()) == 1
+
+
+class TestConeCache:
+    """The recommender's cached cone and memoized fingerprint equal fresh builds."""
+
+    @pytest.fixture
+    def tiny_catalog(self):
+        # Five items and pairs of them: few enough packages that random
+        # clicks keep revisiting the same ones and close cycles.
+        return ItemCatalog(np.random.default_rng(3).random((5, 3)))
+
+    @pytest.fixture
+    def tiny_evaluator(self, tiny_catalog):
+        return PackageEvaluator(tiny_catalog, AggregateProfile(["sum", "avg", "max"]), 2)
+
+    def test_random_click_sequences_match_fresh_builds(self, tiny_catalog):
+        recommender = PackageRecommender(
+            tiny_catalog,
+            AggregateProfile(["sum", "avg", "max"]),
+            ElicitationConfig(max_package_size=2, k=2, num_random=0, num_samples=5),
+        )
+        rng = np.random.default_rng(2024)
+        packages = [Package.of([i]) for i in range(5)] + [
+            Package.of([i, j]) for i in range(5) for j in range(i + 1, 5)
+        ]
+        dropped = 0
+        for _sequence in range(200):
+            store = recommender.preferences = PreferenceStore(3, on_cycle="drop")
+            for _click in range(int(rng.integers(1, 8))):
+                before = recommender.constraints
+                chosen = rng.choice(len(packages), size=int(rng.integers(2, 5)), replace=False)
+                presented = [packages[i] for i in chosen]
+                clicked = presented[int(rng.integers(len(presented)))]
+                added = store.add_click_feedback(recommender.evaluator, clicked, presented)
+                cached = recommender.constraints
+                # A fully cycle-dropped click leaves the store, and so the
+                # cached cone, as it was.
+                assert (cached is before) == (not added)
+                fresh = ConstraintSet.from_store(store)
+                assert np.array_equal(cached.directions, fresh.directions)
+                assert cached.fingerprint() == fresh.fingerprint()
+                assert cached.fingerprint() == fresh.fingerprint()  # memoized
+                assert cached.fingerprint(precision=4) == fresh.fingerprint(precision=4)
+            dropped += store.num_dropped
+        assert dropped > 0  # the sequences did exercise cycle drops
+
+    def test_click_feedback_matches_pairwise_construction(self, tiny_evaluator):
+        presented = [Package.of([0]), Package.of([1, 2]), Package.of([3, 4])]
+        store = PreferenceStore(3)
+        added = store.add_click_feedback(tiny_evaluator, presented[1], presented)
+        expected = [
+            Preference.from_packages(tiny_evaluator, presented[1], other)
+            for other in (presented[0], presented[2])
+        ]
+        assert added == expected
+
+    def test_constraint_directions_are_read_only(self, paper_example_evaluator):
+        store = PreferenceStore(2)
+        store.add(make_preference(paper_example_evaluator, [0], [1]))
+        constraints = ConstraintSet.from_store(store)
+        with pytest.raises(ValueError):
+            constraints.directions[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ConstraintSet.empty(2).directions.fill(1.0)
+
+    def test_writable_input_is_copied(self):
+        directions = np.array([[1.0, -1.0]])
+        constraints = ConstraintSet(directions)
+        before = constraints.fingerprint()
+        directions[0, 0] = 5.0  # the caller's array stays writable ...
+        assert constraints.directions[0, 0] == 1.0  # ... and is not shared
+        assert constraints.fingerprint() == before
+
+    def test_recommender_builds_one_constraint_set_per_store_state(
+        self, small_random_catalog
+    ):
+        recommender = PackageRecommender(
+            small_random_catalog,
+            AggregateProfile(["sum", "avg", "max", "min"]),
+            ElicitationConfig(k=2, num_random=2, num_samples=20, seed=0),
+        )
+        first = recommender.constraints
+        assert recommender.constraints is first
+        round_ = recommender.recommend(recommended=[Package.of([0]), Package.of([1])])
+        recommender.feedback(round_.presented[0])
+        second = recommender.constraints
+        assert second is not first
+        assert recommender.constraints is second
+        assert second.fingerprint() == ConstraintSet.from_store(
+            recommender.preferences
+        ).fingerprint()
+        # A replaced store is never answered from the old store's cache.
+        recommender.preferences = PreferenceStore(4, on_cycle="drop")
+        assert recommender.constraints.is_empty()

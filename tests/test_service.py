@@ -115,6 +115,66 @@ class TestConstraintFingerprint:
         assert a.fingerprint() == b.fingerprint()
 
 
+class TestConeOncePerClick:
+    """A batch of cache-hit sessions derives each session's cone once per click."""
+
+    @pytest.mark.parametrize("pool_shards", [1, 4])
+    def test_recommend_many_derives_each_fingerprint_once(
+        self, serving_catalog, serving_profile, monkeypatch, pool_shards
+    ):
+        import repro.sampling.base as base
+
+        engine = make_engine(serving_catalog, serving_profile, pool_shards=pool_shards)
+        ids = [engine.create_session(seed=5) for _ in range(4)]
+        # One warm-up session walks round 1 -> click -> round 2, so every
+        # pool and top-k list the others need next is already cached.
+        engine.recommend(ids[0])
+        engine.feedback(ids[0], 0)
+        engine.recommend(ids[0])
+        engine.recommend_many(ids[1:])
+        for session_id in ids[1:]:
+            engine.feedback(session_id, 0)
+
+        derived = []
+        blake2b = base.hashlib.blake2b
+
+        class CountingHashlib:
+            @staticmethod
+            def blake2b(*args, **kwargs):
+                derived.append(1)
+                return blake2b(*args, **kwargs)
+
+        built = []
+        from_store = ConstraintSet.from_store.__func__
+
+        def counting_from_store(cls, store, reduced=True):
+            built.append(store)
+            return from_store(cls, store, reduced)
+
+        monkeypatch.setattr(base, "hashlib", CountingHashlib)
+        monkeypatch.setattr(
+            ConstraintSet, "from_store", classmethod(counting_from_store)
+        )
+        before = engine.stats()
+        # What the async dispatcher runs per window: the shard plan, then
+        # the batch itself.
+        engine.fill_shard_plan(ids[1:])
+        rounds = engine.recommend_many(ids[1:])
+        after = engine.stats()
+        assert all(round_.presented for round_ in rounds)
+        assert after.pool_cache["misses"] == before.pool_cache["misses"]
+        assert after.pools_built == before.pools_built
+        assert len(derived) == len(ids) - 1
+        assert len(built) == len(ids) - 1
+
+        # Without a new click nothing is derived again.
+        derived.clear()
+        built.clear()
+        engine.fill_shard_plan(ids[1:])
+        engine.recommend_many(ids[1:])
+        assert derived == [] and built == []
+
+
 # ==================================================================== caches
 class TestLruCache:
     def test_hit_miss_and_eviction_accounting(self):
