@@ -17,7 +17,7 @@ completely.  Two identically seeded engines serve the same click streams:
 
 The timed quantity is the **miss path itself**: the pool-provisioning call a
 serve makes when its pool is pending (``recommender.sample_pool()``, i.e.
-the engine's ``_provide_pool`` → adapt-or-fill).  The top-k search that
+the engine's pool provider → its provisioning stage → adapt-or-fill).  The top-k search that
 follows is identical in both configurations (same budgets, same caps), so
 isolating provisioning compares exactly what the subsystem changes.  Two
 headline metrics are asserted and recorded for the CI gate:

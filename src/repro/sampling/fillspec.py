@@ -1,13 +1,11 @@
 """Serializable pool-fill specifications: the process-parallel fill seam.
 
-Every pool fill in the serving stack used to be described by a *closure*:
-``engine._fill_sampler`` captured the live engine (its prior, its config,
-its seed root) and the repository called ``factory(key)`` wherever the fill
-happened to run.  Closures execute anywhere in-process — and nowhere else.
-A fill that should run in a worker *process* (or on another host) needs the
-transposed representation: a plain-data description of the fill that can be
-pickled, shipped, and resolved into a sampler on the far side.  This module
-is that representation:
+A closure over the live engine (its prior, its config, its seed root) could
+describe a pool fill, but closures execute anywhere in-process — and nowhere
+else.  A fill that should run in a worker *process* (or on another host)
+needs the transposed representation: a plain-data description of the fill
+that can be pickled, shipped, and resolved into a sampler on the far side.
+This module is that representation:
 
 * :class:`FillSpec` — a frozen dataclass that fully describes one pool fill
   with no live objects: the pool key, the constraint rows, the sample count,
@@ -29,14 +27,14 @@ is that representation:
   thread, or in a worker process — which is what keeps process-sharded
   engines bit-identical to unsharded ones.
 * :func:`derive_fill_seed` — the key-deterministic seed derivation
-  (blake2b over ``pool-fill:<seed root>:<key>``), factored out of the engine
-  so spec construction and the engine's legacy closure share one formula.
+  (blake2b over ``pool-fill:<seed root>:<key>``), the one formula every
+  fill's RNG seed comes from.
 
 Determinism contract: a fill's output is a function of ``(spec, context)``
 and nothing else.  The spec carries the derived seed, the context carries
 exact float64 prior parameters (tuples round-trip binary-identically), and
-the sampler builders below construct exactly what the engine's in-process
-closure constructed — so where a fill runs can never change what it returns.
+the sampler builders below construct the sampler from those alone — so
+where a fill runs can never change what it returns.
 """
 
 from __future__ import annotations

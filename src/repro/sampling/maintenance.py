@@ -56,8 +56,8 @@ def partial_refill_split(
 ) -> tuple:
     """Split a stale pool into ψ-reweighted survivors plus an ESS fill deficit.
 
-    The hybrid of §3.4 maintenance and §7 reweighting the serving layer's
-    ``_build_pool`` fuses: instead of choosing between *keep the survivors,
+    The hybrid of §3.4 maintenance and §7 reweighting the serving engine's
+    pool provisioning fuses: instead of choosing between *keep the survivors,
     top up the violators* (hard maintenance) and *reweight everything, accept
     or reject wholesale* (adaptation), reweight the stale pool under the §7
     noise model and compute how many fresh unit-weight draws are needed to

@@ -159,8 +159,8 @@ class ConstraintSimilarityIndex:
 
     :meth:`ConstraintSet.fingerprint` is a one-way hash, so similarity between
     pool keys cannot be computed from the keys alone.  The engine registers
-    every ``(key, constraints, count)`` triple it derives (pool provider,
-    batched prefetch, warm start — they all funnel through one key helper),
+    every ``(key, constraints, count)`` triple it derives (pool provisioning,
+    degraded serving, warm start — they all funnel through one key helper),
     and the index stores the *canonical rows* of each set: direction tuples
     rounded exactly as the fingerprint rounds them, so two registrations that
     would collide to one fingerprint also collide to one row set here.

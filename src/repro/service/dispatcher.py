@@ -16,9 +16,9 @@ synchronous: requests arriving while a batch executes queue up and form the
 next window.  A linger timer adds its full length to every idle-period
 round — for a round served from the caches, more than the serve itself —
 and adds few requests to a batch under load.  A positive ``max_wait`` keeps the
-linger: the window waits that long after its first request.  A window of
-one request takes a single-request fast path straight to
-``engine.recommend``.
+linger: the window waits that long after its first request.  Every
+window, a lone request included, goes to ``engine.recommend_many``: the
+engine serves one session and many through the same pipeline.
 
 Concurrency model: the dispatcher is single-threaded asyncio.  Dispatch runs
 synchronously on the event loop (the engine is CPU-bound and not
@@ -96,7 +96,6 @@ class DispatcherStats:
     size_flushes: int = 0
     timer_flushes: int = 0
     drain_flushes: int = 0
-    fast_path_serves: int = 0
     batch_fallbacks: int = 0
     largest_batch: int = 0
 
@@ -120,7 +119,6 @@ class DispatcherStats:
             "size_flushes": self.size_flushes,
             "timer_flushes": self.timer_flushes,
             "drain_flushes": self.drain_flushes,
-            "fast_path_serves": self.fast_path_serves,
             "batch_fallbacks": self.batch_fallbacks,
             "largest_batch": self.largest_batch,
             "mean_batch_size": self.mean_batch_size,
@@ -321,16 +319,6 @@ class MicroBatchDispatcher:
         batch = live
         self.stats.batches_dispatched += 1
         self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        if len(batch) == 1:
-            # Single-request fast path: skip recommend_many's pin/prefetch
-            # machinery — there is nothing to batch.
-            self.stats.fast_path_serves += 1
-            session_id, future, _admitted = batch[0]
-            try:
-                self._resolve(future, self.engine.recommend(session_id))
-            except Exception as exc:  # noqa: BLE001 - forwarded to the caller
-                self._reject(future, exc)
-            return
         batch = self._group_by_shard(batch)
         session_ids = [session_id for session_id, _future, _admitted in batch]
         try:

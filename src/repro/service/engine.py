@@ -19,21 +19,38 @@ DAG, counters, RNG); the expensive artifacts are shared across sessions:
   alone.
 * **Top-k results** — for a given pool, ``k`` and semantics the ranked
   "exploit" packages are identical for every session, so they are cached too;
-  only the random exploration packages are drawn per session.  When the
-  top-k cache *misses* (heterogeneous sessions whose constraint sets differ),
-  the per-sample ``Top-k-Pkg`` queries run through the vectorised
+  only the random exploration packages are drawn per session.  Cache misses
+  are answered by the vectorised
   :class:`~repro.topk.batch_search.BatchTopKPackageSearcher`: one shared
-  sorted-list walk for the whole sample pool instead of one Python search
-  per weight sample.
-* **Sampling work** — :meth:`recommend_many` groups pending sessions by
-  constraint fingerprint and hands every missing pool to the repository as
-  one :meth:`~repro.service.pool_repository.ShardedPoolRepository.fill_many`
-  batch, grouped per shard.
+  sorted-list walk over the searched samples of every missing pool instead
+  of one Python search per weight sample.
 * **Warm starts** — :meth:`warm_start` (or
   ``EngineConfig.warm_start_first_clicks``) precomputes and pins the
   empty-prefix pool and the top-K first-click pools via
   :class:`~repro.service.pool_repository.WarmStartPlanner`, so cold sessions
   never sample.
+
+Every round runs through one pipeline, whether one session asks
+(:meth:`RecommendationEngine.recommend`) or many
+(:meth:`RecommendationEngine.recommend_many`):
+
+1. **Acquire and pin** the sessions.
+2. **Provision** (``engine.provision``): every session whose pool is pending
+   looks it up in the repository once.  Each missing pool is built once per
+   key (per session without pool sharing) by the first rung of the reuse
+   ladder that applies — donor adaptation, partial refill, §3.4
+   maintenance, fresh fill — and all fills go to the repository as one
+   :meth:`~repro.service.pool_repository.ShardedPoolRepository.fill_many`
+   batch, grouped per shard.
+3. **Search** (``search.topk``): one shared walk per ``k`` over every pool
+   whose ranked list is not cached.
+4. **Serve and log** (``engine.serve_round``): draw each session's
+   exploration packages and append the round to the event log.
+
+Each stage hands its results to the next as values; the caches only keep
+them for later calls.  Pools needed outside serving (snapshot, checkpoint)
+come from the same provisioning stage through the recommender's pool
+provider.
 
 Session lifecycle (bounded active set, TTL expiry, LRU swap-out to a durable
 store, snapshot/restore) is delegated to
@@ -48,7 +65,7 @@ from __future__ import annotations
 import hashlib
 import tempfile
 import time
-import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -66,20 +83,15 @@ from repro.core.preferences import Preference
 from repro.core.profiles import AggregateProfile
 from repro.core.ranking import rank_from_samples
 from repro.obs import Telemetry
-from repro.sampling.base import ConstraintSet, SamplePool, Sampler
-from repro.sampling.batch import BatchRejectionSampler
+from repro.sampling.base import ConstraintSet, SamplePool
 from repro.sampling.fillspec import (
     FillContext,
     FillSpec,
     PriorSpec,
-    derive_fill_seed,
     register_fill_context,
 )
 from repro.sampling.gaussian_mixture import GaussianMixture
-from repro.sampling.importance import ImportanceSampler
 from repro.sampling.maintenance import partial_refill_split
-from repro.sampling.mcmc import MetropolisHastingsSampler
-from repro.sampling.rejection import RejectionSampler
 from repro.sampling.reweight import residual_resample
 from repro.service.adaptation import (
     AdaptationConfig,
@@ -147,6 +159,22 @@ SUPPORTED_SNAPSHOT_VERSIONS = (1, 2)
 SUPPORTED_REPLAY_VERSIONS = (1,)
 
 
+def pool_key(constraints: ConstraintSet, count: int) -> str:
+    """The repository key of the ``count``-sample pool for ``constraints``."""
+    return f"n{count}:{constraints.fingerprint()}"
+
+
+@dataclass
+class _PoolBuild:
+    """One pool a provisioning pass builds, and the sessions waiting for it."""
+
+    key: str
+    constraints: ConstraintSet
+    count: int
+    stale: Optional[SamplePool]
+    sessions: List[SessionEntry]
+
+
 @dataclass
 class EngineConfig:
     """Serving-layer configuration wrapped around an elicitation config.
@@ -164,8 +192,10 @@ class EngineConfig:
         expires.
     pool_cache_size:
         Total pool-storage budget of the pool repository, split across its
-        shards; ``0`` disables pool sharing entirely (every session samples
-        for itself — the per-user baseline).
+        shards.  With a positive budget, the sessions of one call that need
+        the same pool share one build, and later calls find it in the
+        repository.  ``0`` disables pool sharing: every session builds its
+        own pool (the per-user baseline).
     pool_shards:
         Number of partitions the repository consistent-hashes pool keys
         across.  Results are bit-identical for any shard count; sharding
@@ -178,7 +208,13 @@ class EngineConfig:
         :class:`~repro.service.pool_repository.ProcessShardBackend`).  A
         ``":N"`` suffix overrides the worker count, e.g. ``"process:4"``.
     topk_cache_size:
-        Capacity of the shared top-k result cache; ``0`` disables it.
+        Capacity of the shared top-k result cache.  With this and
+        ``pool_cache_size`` both positive, the engine answers each
+        session's ranked list: from the cache, or — for every pool of a call
+        whose list is not cached — from one shared walk of its batch searcher
+        (``current_top_k`` of one of the pool's sessions when the elicitation
+        config disables ``use_batch_search``).  ``0``, or a disabled pool
+        cache, leaves every session to rank its own pool.
     use_batch_sampler:
         Fill pools with vectorised block rejection sampling (with per-set
         MCMC fallback) instead of the configured per-session sampler kind.
@@ -201,14 +237,6 @@ class EngineConfig:
         (donors live in the repository).  Adapted pools are marked in their
         ``stats`` and carry distinct content digests; they are never mistaken
         for exact key-deterministic builds.
-    batch_search_across_sessions:
-        In :meth:`RecommendationEngine.recommend_many`, answer the top-k
-        queries of *all* top-k-cache-missing sessions in one concatenated
-        :meth:`~repro.topk.batch_search.BatchTopKPackageSearcher.search_pools`
-        call — one shared sorted-list walk across every distinct pool in the
-        batch — instead of one batch search per pool.  Requires the pool and
-        top-k caches plus ``use_batch_search`` in the elicitation config;
-        without them the per-session path is used.
     search_carryover:
         Cross-round candidate carryover (incremental search): the engine's
         batch searcher keeps a bounded
@@ -273,7 +301,6 @@ class EngineConfig:
     batch_max_blocks: int = 64
     maintain_on_miss: bool = True
     pool_adaptation: Optional[AdaptationConfig] = None
-    batch_search_across_sessions: bool = True
     search_carryover: bool = True
     partial_refill: bool = False
     refill_psi: Optional[float] = None
@@ -445,10 +472,10 @@ class RecommendationEngine:
     telemetry:
         Optional :class:`~repro.obs.Telemetry` facade.  When given, the
         engine threads request traces through serving (dispatcher admission
-        → recommend → pool provisioning → batch search → event-log append),
-        observes latency histograms, and fires labeled alarms; the default
-        is a disabled instance whose per-site cost is one attribute check
-        (alarm counters still count either way).
+        → recommend → pool provisioning → batch search → event-log append).
+        The default is a disabled instance whose spans are one shared null
+        context; its registry still counts requests, round latencies and
+        alarms.
     """
 
     def __init__(
@@ -600,8 +627,6 @@ class RecommendationEngine:
         )
         self._session_counter = 0
         self._pool_build_counter = 0
-        self._freshly_prefetched: set = set()
-        self._freshly_searched: set = set()
         self.sessions_created = 0
         self.sessions_replayed = 0
         self.rounds_served = 0
@@ -623,24 +648,6 @@ class RecommendationEngine:
         )
         if self.config.warm_start_first_clicks is not None:
             self.warm_start(self.config.warm_start_first_clicks)
-
-    #: One-shot guard for the :attr:`pool_cache` deprecation warning (class
-    #: level: the alias is deprecated once per process, not once per engine).
-    _pool_cache_warned = False
-
-    @property
-    def pool_cache(self) -> PoolRepository:
-        """Deprecated alias for :attr:`pool_repository` (pre-sharding name)."""
-        if not RecommendationEngine._pool_cache_warned:
-            RecommendationEngine._pool_cache_warned = True
-            warnings.warn(
-                "engine.pool_cache is deprecated and will be removed: the "
-                "pool store has been the sharded pool repository since the "
-                "sharding refactor — use engine.pool_repository",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.pool_repository
 
     def close_repository(self) -> None:
         """Release the pool repository's shard backend (thread pool, if any)."""
@@ -702,9 +709,7 @@ class RecommendationEngine:
         )
         if self.config.sharing_enabled:
             recommender.set_pool_provider(
-                lambda constraints, count, stale, _entry=entry: self._provide_pool(
-                    _entry, constraints, count, stale
-                )
+                lambda *_request, _entry=entry: self._provide_pool(_entry)
             )
         return entry
 
@@ -712,20 +717,17 @@ class RecommendationEngine:
         """Terminate a session (active or swapped out); returns whether it existed."""
         return self.sessions.remove(session_id)
 
-    def _acquire(self, session_id: str, sweep: bool = True) -> SessionEntry:
+    def _acquire(self, session_id: str) -> SessionEntry:
         # Acquire first so an expired *target* raises SessionExpiredError
         # (a prior sweep would degrade it to SessionNotFoundError), then
-        # opportunistically expire the rest of the table.  Batched callers
-        # pass sweep=False and sweep once — a per-acquire sweep would make
-        # recommend_many O(batch x active).
+        # opportunistically expire the rest of the table.
         entry = self.sessions.acquire(session_id)
-        if sweep:
-            self.sessions.sweep_expired()
+        self.sessions.sweep_expired()
         return entry
 
     # ============================================================ pool sourcing
     def _pool_key(self, constraints: ConstraintSet, count: int) -> str:
-        key = f"n{count}:{constraints.fingerprint()}"
+        key = pool_key(constraints, count)
         if self.pool_adapter is not None:
             # Every key the engine ever derives is registered, so the
             # similarity index can decode live repository keys back to
@@ -764,33 +766,6 @@ class RecommendationEngine:
             max_blocks=self.config.batch_max_blocks,
         )
 
-    def _fill_sampler(self, key: str) -> Sampler:
-        """A fill sampler whose RNG derives from the engine seed and the key.
-
-        The pre-FillSpec sampler construction, kept for the deprecated
-        sampler-factory path (constructed identically to what
-        :func:`~repro.sampling.fillspec.build_sampler` resolves from a spec,
-        so both paths fill bit-identically).
-        """
-        rng = np.random.default_rng(derive_fill_seed(self._fill_seed_root, key))
-        elicitation = self.config.elicitation
-        if self.config.use_batch_sampler:
-            return BatchRejectionSampler(
-                self.prior,
-                rng=rng,
-                noise_probability=elicitation.noise_psi,
-                block_size=self.config.batch_block_size,
-                max_blocks=self.config.batch_max_blocks,
-            )
-        sampler_cls = {
-            "rejection": RejectionSampler,
-            "importance": ImportanceSampler,
-            "mcmc": MetropolisHastingsSampler,
-        }[elicitation.sampler]
-        return sampler_cls(
-            self.prior, rng=rng, noise_probability=elicitation.noise_psi
-        )
-
     def _stamp_pool(self, pool: SamplePool) -> SamplePool:
         """Tag a freshly built pool with a unique build generation.
 
@@ -803,76 +778,115 @@ class RecommendationEngine:
         pool.stats["pool_build"] = self._pool_build_counter
         return pool
 
-    def _provide_pool(
-        self,
-        entry: SessionEntry,
-        constraints: ConstraintSet,
-        count: int,
-        stale: Optional[SamplePool],
-    ) -> SamplePool:
-        key = self._pool_key(constraints, count)
-        if key in self._freshly_prefetched:
-            # The first fetch of a pool this engine's own prefetch just built
-            # is the miss that caused the build, not a cache win — count it
-            # honestly so hit_rate/samples_saved reflect genuinely shared work.
-            self._freshly_prefetched.discard(key)
-            pool = self.pool_repository.peek(key)
-            if pool is not None:
-                self.pool_repository.record_miss(key)
+    def _provide_pool(self, entry: SessionEntry) -> SamplePool:
+        """The recommender's pool provider: provisioning for one session.
+
+        Serving provisions pools before it asks the recommender for them, so
+        this hook only runs for pools needed outside serving: a snapshot or
+        checkpoint materialising a pending pool, or a direct read of a
+        session's recommender.
+        """
+        self._provision([entry])
+        return entry.recommender.pending_pool
+
+    def _provision(self, entries: Sequence[SessionEntry]) -> None:
+        """Stage 2: install the pool of every session in ``entries``.
+
+        Each session looks its pool up in the repository once.  With pool
+        sharing (``pool_cache_size > 0``) the misses group by key: the first
+        session counts the miss and the build, and a session joining that
+        build looks the pool up once it is stored, so it counts a hit.  The
+        per-user baseline (``pool_cache_size == 0``) builds every session's
+        pool on its own, each with its own fill.
+        """
+        shared = self.config.pool_cache_size > 0
+        builds: Dict[str, _PoolBuild] = {}  # by pool key, or session if unshared
+        with self.telemetry.span("engine.provision", sessions=len(entries)):
+            for entry in entries:
+                recommender = entry.recommender
+                constraints = recommender.constraints
+                count = recommender.config.num_samples
+                key = self._pool_key(constraints, count)
                 entry.pool_key = key
-                return pool
-        pool = self.pool_repository.get(key)
-        if pool is None:
-            with self.telemetry.span("pool.build", key=key, count=count):
-                pool = self._stamp_pool(
-                    self._build_pool(key, constraints, count, stale)
+                build = builds.get(key) if shared else None
+                if build is not None:
+                    build.sessions.append(entry)
+                    if build.stale is None:
+                        build.stale = recommender.stale_pool
+                    continue
+                pool = self.pool_repository.get(key)
+                if pool is not None:
+                    recommender.set_pool(pool)
+                    continue
+                build = _PoolBuild(
+                    key, constraints, count, recommender.stale_pool, [entry]
                 )
-            self.pool_repository.put(key, pool)
-        entry.pool_key = key
-        return pool
+                builds[key if shared else entry.session_id] = build
+            if not shared:
+                for build in builds.values():
+                    self._make_pools([build])
+            elif builds:
+                self._make_pools(list(builds.values()))
 
-    def _build_pool(
-        self,
-        key: str,
-        constraints: ConstraintSet,
-        count: int,
-        stale: Optional[SamplePool],
-    ) -> SamplePool:
-        self.pools_built += 1
-        adapted = self._adapt_pool(key, constraints, count)
-        if adapted is not None:
-            self.telemetry.annotate(path="adapted")
-            return adapted
-        refill = self._partial_refill_plan(constraints, count, stale)
-        if refill is not None:
-            surviving, deficit = refill
-            self.telemetry.annotate(path="refill")
-            fresh = (
-                self._traced_fill(key, constraints, deficit)
+    def _make_pools(self, builds: Sequence[_PoolBuild]) -> None:
+        """Build missing pools with one fill batch and hand each to its sessions.
+
+        Each pool takes the first rung of the reuse ladder that applies:
+        an adapted near-miss donor, a partial refill of the stale pool, §3.4
+        maintenance of it, or a fresh fill.  The rungs' fill deficits go to
+        the repository as one ``fill_many`` batch; fills are key-seeded, so
+        batching never changes a pool.  The build paths annotate the open
+        ``engine.provision`` span.
+        """
+        plans = []  # (build, path, surviving or adapted pool, fill deficit)
+        for build in builds:
+            self.pools_built += 1
+            adapted = self._adapt_pool(build.key, build.constraints, build.count)
+            if adapted is not None:
+                plans.append((build, "adapted", adapted, 0))
+                continue
+            refill = self._partial_refill_plan(
+                build.constraints, build.count, build.stale
+            )
+            if refill is not None:
+                plans.append((build, "refill", *refill))
+                continue
+            surviving, deficit = self._maintenance_split(
+                build.constraints, build.count, build.stale
+            )
+            path = "sampled" if surviving is None else "maintained"
+            plans.append((build, path, surviving, deficit))
+        fresh = self.pool_repository.fill_many(
+            [
+                PoolFillJob(build.key, build.constraints, deficit)
+                for build, _path, _pool, deficit in plans
                 if deficit > 0
-                else None
-            )
-            return self._finish_partial_refill(key, surviving, fresh, count, deficit)
-        surviving, deficit = self._maintenance_split(constraints, count, stale)
-        if surviving is not None:
-            self.pools_maintained += 1
-            self.telemetry.annotate(path="maintained")
-            if deficit <= 0:
-                return surviving
-            return surviving.concatenate(
-                self._traced_fill(key, constraints, deficit)
-            )
-        self.pools_sampled += 1
-        self.telemetry.annotate(path="sampled")
-        return self._traced_fill(key, constraints, count)
-
-    def _traced_fill(
-        self, key: str, constraints: ConstraintSet, count: int
-    ) -> SamplePool:
-        """One repository fill, recorded as a ``pool.fill`` child span."""
-        pool = self.pool_repository.fill_one(key, constraints, count)
-        self._record_fill_span(key, pool)
-        return pool
+            ]
+        )
+        for key, pool in fresh.items():
+            self._record_fill_span(key, pool)
+        for build, path, pool, deficit in plans:
+            filled = fresh.get(build.key)
+            if path == "refill":
+                pool = self._finish_partial_refill(
+                    build.key, pool, filled, build.count, deficit
+                )
+            elif path == "maintained":
+                self.pools_maintained += 1
+                if filled is not None:
+                    pool = pool.concatenate(filled)
+            elif path == "sampled":
+                self.pools_sampled += 1
+                pool = filled
+            pool = self._stamp_pool(pool)
+            self.pool_repository.put(build.key, pool)
+            for index, entry in enumerate(build.sessions):
+                if index:
+                    # A session sharing the build makes its one lookup now,
+                    # right after the put, so it hits.
+                    self.pool_repository.get(build.key)
+                entry.recommender.set_pool(pool)
+        self.telemetry.annotate(**Counter(path for _build, path, _p, _d in plans))
 
     def _record_fill_span(self, key: str, pool: SamplePool) -> None:
         """Reconstruct a finished fill as a child span of the open trace.
@@ -882,8 +896,6 @@ class RecommendationEngine:
         the engine rebuilds the span from the stats the fill returned
         (``fill_seconds``, and ``fill_worker_pid`` for process fills).
         """
-        if not self.telemetry.enabled:
-            return
         attrs = {"key": key, "count": pool.size}
         sampler = pool.stats.get("sampler")
         if sampler is not None:
@@ -1052,118 +1064,25 @@ class RecommendationEngine:
     # ================================================================ serving
     def recommend(self, session_id: str) -> RecommendationRound:
         """Serve one recommendation round for a session."""
-        if not self.telemetry.enabled:
-            entry = self._acquire(session_id)
-            return self._serve_round(entry)
         self._requests_total.labels(api="recommend").inc()
         with self.telemetry.span("engine.recommend", session_id=session_id):
-            entry = self._acquire(session_id)
-            return self._serve_round(entry)
+            return self._serve([session_id])[0]
 
     def recommend_many(
         self, session_ids: Sequence[str]
     ) -> List[RecommendationRound]:
-        """Serve one round for many sessions, batching the missing pools.
+        """Serve one round for each of many sessions in one pipeline pass.
 
-        Sessions are grouped by constraint fingerprint; each distinct missing
-        pool is handed to the pool repository as one fill batch (maintenance
-        first, then per-shard fill groups the shard backend may run in
-        parallel) before the per-session rounds are produced.
+        Sessions needing the same pool share one build, every missing pool
+        fills in one repository batch, and every uncached ranked list comes
+        from one shared walk — the rounds are the ones :meth:`recommend`
+        would serve session by session.
         """
-        if not self.telemetry.enabled:
-            return self._recommend_many(session_ids)
         self._requests_total.labels(api="recommend_many").inc()
         with self.telemetry.span(
             "engine.recommend_many", sessions=len(session_ids)
         ):
-            return self._recommend_many(session_ids)
-
-    def _recommend_many(
-        self, session_ids: Sequence[str]
-    ) -> List[RecommendationRound]:
-        entries: List[SessionEntry] = []
-        fresh_topk_keys: set = set()
-        try:
-            for session_id in session_ids:
-                # Pin before acquiring: the acquire itself may restore from
-                # the store and enforce capacity, and neither this session
-                # nor the previously acquired ones may be swapped out before
-                # their rounds are served.
-                self.sessions.pin(session_id)
-                entries.append(self._acquire(session_id, sweep=False))
-            if self.config.pool_cache_size > 0:
-                # Without the pool cache there is nowhere to park a
-                # batch-built pool for the per-session providers to pick up,
-                # so prefetching would only duplicate the sampling each
-                # provider does anyway.
-                self._prefetch_pools(entries)
-                fresh_topk_keys = self._prefetch_topk(entries)
-            return [self._serve_round(entry) for entry in entries]
-        finally:
-            # Serving normally consumes every freshly searched key; if a
-            # serve raised mid-batch, drop the leftovers so they cannot skew
-            # later hit/miss accounting or accumulate across failures.
-            self._freshly_searched.difference_update(fresh_topk_keys)
-            self.sessions.unpin(session_ids)
-            self.sessions.sweep_expired()
-
-    def _serve_round(self, entry: SessionEntry) -> RecommendationRound:
-        if not self.telemetry.enabled:
-            return self._serve_round_impl(entry)
-        start = time.perf_counter()
-        with self.telemetry.span(
-            "engine.serve_round", session_id=entry.session_id
-        ):
-            round_ = self._serve_round_impl(entry)
-        self._round_latency.observe(time.perf_counter() - start)
-        return round_
-
-    def _serve_round_impl(self, entry: SessionEntry) -> RecommendationRound:
-        recommender = entry.recommender
-        recommended: Optional[List[Package]] = None
-        # The top-k cache is keyed by the pool key plus the pool's build
-        # generation: the key alone only equals pool identity while pools
-        # are shared, and the generation guards against serving top-k lists
-        # computed from a pool that was evicted and rebuilt since.
-        if self.config.topk_cache_size > 0 and self.config.pool_cache_size > 0:
-            pool = recommender.sample_pool()  # ensures entry.pool_key is current
-            if entry.pool_key is not None:
-                key = self._topk_key(entry, pool)
-                if key in self._freshly_searched:
-                    # First fetch of a ranked list the across-session prefetch
-                    # just computed: that is the miss that caused the search,
-                    # not a cache win (same honesty rule as pool prefetches).
-                    # Count the miss even if the entry was evicted between
-                    # put and fetch — a get() would have counted one too.
-                    self._freshly_searched.discard(key)
-                    cached = self._topk_cache.peek(key)
-                    self._topk_cache.record_miss()
-                else:
-                    cached = self._topk_cache.get(key)
-                if cached is None:
-                    recommended = self._session_top_k(entry, pool)
-                    self._topk_cache.put(key, tuple(recommended))
-                else:
-                    recommended = list(cached)
-                self.telemetry.annotate(
-                    pool_key=entry.pool_key, topk_cached=cached is not None
-                )
-        round_ = recommender.recommend(recommended=recommended)
-        entry.rounds_served += 1
-        entry.dirty = True
-        self.rounds_served += 1
-        if self.event_log is not None:
-            with self.telemetry.span("eventlog.append", kind="round_served"):
-                self.event_log.log_round_served(
-                    entry.session_id,
-                    recommended=[
-                        [int(i) for i in p.items] for p in round_.recommended
-                    ],
-                    random_packages=[
-                        [int(i) for i in p.items] for p in round_.random_packages
-                    ],
-                )
-        return round_
+            return self._serve(session_ids)
 
     def recommend_cached(self, session_id: str) -> RecommendationRound:
         """Serve one round from already-materialised state only (no pool fill).
@@ -1191,7 +1110,147 @@ class RecommendationEngine:
                     f"pool {key!r} for session {session_id!r} is not cached; "
                     f"serving it would require a fill"
                 )
-        return self._serve_round(entry)
+        self._requests_total.labels(api="recommend_cached").inc()
+        with self.telemetry.span("engine.recommend_cached", session_id=session_id):
+            return self._serve([session_id])[0]
+
+    def _serve(self, session_ids: Sequence[str]) -> List[RecommendationRound]:
+        """The serve pipeline: acquire → provision → search → serve and log."""
+        try:
+            entries: List[SessionEntry] = []
+            for session_id in session_ids:
+                # Pin before acquiring: the acquire itself may restore from
+                # the store and enforce capacity, and neither this session
+                # nor the previously acquired ones may be swapped out before
+                # their rounds are served.
+                self.sessions.pin(session_id)
+                entries.append(self.sessions.acquire(session_id))
+            if self.config.sharing_enabled:
+                # Keyed by id: a session listed twice needs one pool.
+                pending = {
+                    entry.session_id: entry
+                    for entry in entries
+                    if entry.recommender.pending_pool is None
+                }
+                if pending:
+                    self._provision(list(pending.values()))
+            ranked = self._search(entries)
+            return [
+                self._serve_round(entry, ranked.get(index))
+                for index, entry in enumerate(entries)
+            ]
+        finally:
+            self.sessions.unpin(session_ids)
+            self.sessions.sweep_expired()
+
+    def _search(self, entries: Sequence[SessionEntry]) -> Dict[int, List[Package]]:
+        """Stage 3: the ranked lists the engine answers, by position in ``entries``.
+
+        The engine answers a session that has a pool key when both caches
+        are on; every other session ranks its own pool while it is served.
+        Each answered session looks its list up in the top-k cache once.
+        The missing lists are computed once per distinct cache key, in one
+        ``search.topk`` span per ``k``: the first session counts the miss,
+        and a session sharing the list looks it up once it is stored, so it
+        counts a hit.
+        """
+        ranked: Dict[int, List[Package]] = {}
+        # A cache key is (pool key, pool build, k, semantics): the pool key
+        # names one pool only while pools are shared, and the build guards
+        # against lists computed from a pool that was evicted and rebuilt.
+        if self.config.topk_cache_size == 0 or self.config.pool_cache_size == 0:
+            return ranked
+        missing: Dict[tuple, List[int]] = {}
+        for index, entry in enumerate(entries):
+            if entry.pool_key is None:
+                continue
+            key = self._topk_key(entry, entry.recommender.pending_pool)
+            if key in missing:
+                missing[key].append(index)
+                continue
+            cached = self._topk_cache.get(key)
+            if cached is None:
+                missing[key] = [index]
+            else:
+                ranked[index] = list(cached)
+        by_k: Dict[int, List[tuple]] = {}
+        for key in missing:
+            by_k.setdefault(key[2], []).append(key)
+        for k, keys in by_k.items():
+            with self.telemetry.span("search.topk", pools=len(keys), k=k):
+                lists = self._rank([entries[missing[key][0]] for key in keys], k)
+            for key, ranked_list in zip(keys, lists):
+                self._topk_cache.put(key, tuple(ranked_list))
+                first, *sharing = missing[key]
+                ranked[first] = ranked_list
+                for index in sharing:
+                    ranked[index] = list(self._topk_cache.get(key))
+        return ranked
+
+    def _rank(self, entries: Sequence[SessionEntry], k: int) -> List[List[Package]]:
+        """The ranked top-k list of each entry's pool, in one shared walk.
+
+        Without ``use_batch_search`` each list is its session's own
+        :meth:`PackageRecommender.current_top_k`.  The walk searches exactly
+        the rows ``current_top_k`` would and ranks them the same way, so
+        each list is the one the session would compute itself.
+        Carryover seeds each pool's queries from its session's pre-click key
+        and parks the candidates found under the pool key; seeds are
+        re-validated, so they only shorten the walk.
+        """
+        if not self.config.elicitation.use_batch_search:
+            return [entry.recommender.current_top_k() for entry in entries]
+        pools = [entry.recommender.pending_pool for entry in entries]
+        rows = [
+            entry.recommender.search_sample_indices(pool)
+            for entry, pool in zip(entries, pools)
+        ]
+        results = self.batch_searcher.search_pools(
+            [pool.samples[indices] for pool, indices in zip(pools, rows)],
+            k,
+            carry_in=[entry.carry_key for entry in entries],
+            carry_out=[entry.pool_key for entry in entries],
+        )
+        self._annotate_search()
+        self.topk_batched_pools += len(entries)
+        return [
+            rank_from_samples(
+                per_sample,
+                k,
+                entry.recommender.config.semantics,
+                sample_weights=pool.weights[indices],
+            )
+            for entry, pool, indices, per_sample in zip(entries, pools, rows, results)
+        ]
+
+    def _serve_round(
+        self, entry: SessionEntry, recommended: Optional[List[Package]]
+    ) -> RecommendationRound:
+        """Stage 4: present one session's round and append it to the log."""
+        start = time.perf_counter()
+        with self.telemetry.span(
+            "engine.serve_round",
+            session_id=entry.session_id,
+            pool_key=entry.pool_key,
+        ):
+            round_ = entry.recommender.recommend(recommended=recommended)
+            entry.rounds_served += 1
+            entry.dirty = True
+            self.rounds_served += 1
+            if self.event_log is not None:
+                with self.telemetry.span("eventlog.append", kind="round_served"):
+                    self.event_log.log_round_served(
+                        entry.session_id,
+                        recommended=[
+                            [int(i) for i in p.items] for p in round_.recommended
+                        ],
+                        random_packages=[
+                            [int(i) for i in p.items]
+                            for p in round_.random_packages
+                        ],
+                    )
+        self._round_latency.observe(time.perf_counter() - start)
+        return round_
 
     def feedback(
         self, session_id: str, clicked: Union[int, Package]
@@ -1230,55 +1289,6 @@ class RecommendationEngine:
             )
         return added
 
-    def _session_top_k(
-        self, entry: SessionEntry, pool: SamplePool
-    ) -> List[Package]:
-        """A session's ranked top-k, seeded from its pre-click candidates.
-
-        Identical construction to
-        :meth:`PackageRecommender.current_top_k` — same searched sample rows,
-        same searcher parameters, same weighted ranking — run through the
-        engine's shared batch searcher so the session's previous round can
-        seed the walk: ``carry_in`` is the pool key of the last round the
-        session gave feedback on, ``carry_out`` parks this round's
-        candidates for the post-click search.  Carried candidates are
-        re-validated, so the ranked list is exactly the one the session
-        would have computed itself.
-        """
-        if not self.telemetry.enabled:
-            return self._session_top_k_impl(entry, pool)
-        with self.telemetry.span(
-            "search.topk", mode="session", pool_key=entry.pool_key
-        ):
-            self.batch_searcher.last_search_stats = None
-            ranked = self._session_top_k_impl(entry, pool)
-            self._annotate_search()
-            return ranked
-
-    def _session_top_k_impl(
-        self, entry: SessionEntry, pool: SamplePool
-    ) -> List[Package]:
-        recommender = entry.recommender
-        if (
-            self.batch_searcher.carryover is None
-            or not recommender.config.use_batch_search
-            or entry.pool_key is None
-        ):
-            return recommender.current_top_k()
-        indices = recommender.search_sample_indices(pool)
-        results = self.batch_searcher.search_pools(
-            [pool.samples[indices]],
-            recommender.config.k,
-            carry_in=[entry.carry_key],
-            carry_out=[entry.pool_key],
-        )[0]
-        return rank_from_samples(
-            results,
-            recommender.config.k,
-            recommender.config.semantics,
-            sample_weights=pool.weights[indices],
-        )
-
     def _topk_key_for(
         self, pool_key: Optional[str], pool: SamplePool, config: ElicitationConfig
     ):
@@ -1288,174 +1298,6 @@ class RecommendationEngine:
 
     def _topk_key(self, entry: SessionEntry, pool: SamplePool):
         return self._topk_key_for(entry.pool_key, pool, entry.recommender.config)
-
-    # ================================================== batched top-k search
-    def _prefetch_topk(self, entries: Sequence[SessionEntry]) -> set:
-        """Answer every cache-missing top-k query of a batch in one walk.
-
-        With the pools already prefetched, the remaining per-session cost of
-        a heterogeneous batch is the ``Top-k-Pkg`` queries — one batch search
-        per *distinct pool*.  This step concatenates the searched weight rows
-        of every top-k-cache-missing pool into a single
-        :meth:`~repro.topk.batch_search.BatchTopKPackageSearcher.search_pools`
-        call (one shared sorted-list walk, cross-pool deduplication of
-        repeated weight rows) and parks each pool's ranked list in the top-k
-        cache for :meth:`_serve_round` to pick up.  Returns the cache keys it
-        marked freshly searched, so the caller can clear any left unconsumed
-        by a failed serve.
-        """
-        if (
-            not self.config.batch_search_across_sessions
-            or self.config.topk_cache_size <= 0
-            or not self.config.elicitation.use_batch_search
-        ):
-            return set()
-        if not self.telemetry.enabled:
-            return self._prefetch_topk_impl(entries)
-        with self.telemetry.span("engine.prefetch_topk"):
-            fresh = self._prefetch_topk_impl(entries)
-            self.telemetry.annotate(pools_searched=len(fresh))
-            return fresh
-
-    def _prefetch_topk_impl(self, entries: Sequence[SessionEntry]) -> set:
-        groups: Dict[tuple, dict] = {}
-        for entry in entries:
-            recommender = entry.recommender
-            pool = recommender.sample_pool()  # provider fetch; sets pool_key
-            if entry.pool_key is None:
-                continue
-            key = self._topk_key(entry, pool)
-            if key in groups or key in self._topk_cache:
-                continue
-            if len(groups) >= self._topk_cache.maxsize:
-                # More distinct pools than the cache can hold: searching the
-                # excess would only have its results evicted before their
-                # sessions read them; leave them to the per-session path.
-                continue
-            indices = recommender.search_sample_indices(pool)
-            groups[key] = {
-                "matrix": pool.samples[indices],
-                "weights": pool.weights[indices],
-                "k": recommender.config.k,
-                "semantics": recommender.config.semantics,
-                # Carryover hints for the concatenated walk: seed this pool's
-                # queries from the first grouped session's pre-click key and
-                # park the discovered candidates under the pool key.
-                "carry_in": entry.carry_key,
-                "carry_out": entry.pool_key,
-            }
-        if not groups:
-            return set()
-        by_k: Dict[int, List[tuple]] = {}
-        for key, group in groups.items():
-            by_k.setdefault(group["k"], []).append(key)
-        for k, keys in by_k.items():
-            with self.telemetry.span(
-                "search.topk", mode="batched", pools=len(keys), k=k
-            ):
-                per_pool = self.batch_searcher.search_pools(
-                    [groups[key]["matrix"] for key in keys],
-                    k,
-                    carry_in=[groups[key]["carry_in"] for key in keys],
-                    carry_out=[groups[key]["carry_out"] for key in keys],
-                )
-                self._annotate_search()
-            for key, results in zip(keys, per_pool):
-                group = groups[key]
-                ranked = rank_from_samples(
-                    results, k, group["semantics"], sample_weights=group["weights"]
-                )
-                self._topk_cache.put(key, tuple(ranked))
-                self._freshly_searched.add(key)
-                self.topk_batched_pools += 1
-        return set(groups)
-
-    # ======================================================== batched sampling
-    def _prefetch_pools(self, entries: Sequence[SessionEntry]) -> None:
-        """Fill every distinct missing pool for ``entries`` with batched work."""
-        if not self.telemetry.enabled:
-            return self._prefetch_pools_impl(entries)
-        with self.telemetry.span("engine.prefetch_pools"):
-            return self._prefetch_pools_impl(entries)
-
-    def _prefetch_pools_impl(self, entries: Sequence[SessionEntry]) -> None:
-        groups: Dict[str, dict] = {}
-        for entry in entries:
-            recommender = entry.recommender
-            if recommender.pending_pool is not None:
-                continue
-            constraints = recommender.constraints
-            count = recommender.config.num_samples
-            key = self._pool_key(constraints, count)
-            group = groups.setdefault(
-                key, {"constraints": constraints, "count": count, "stale": None}
-            )
-            if group["stale"] is None and recommender.stale_pool is not None:
-                group["stale"] = recommender.stale_pool
-        jobs = []  # (key, constraints, mode, surviving, deficit, count)
-        for key, group in groups.items():
-            if key in self.pool_repository:
-                continue
-            self.pools_built += 1
-            adapted = self._adapt_pool(key, group["constraints"], group["count"])
-            if adapted is not None:
-                self.pool_repository.put(key, self._stamp_pool(adapted))
-                self._freshly_prefetched.add(key)
-                continue
-            refill = self._partial_refill_plan(
-                group["constraints"], group["count"], group["stale"]
-            )
-            if refill is not None:
-                surviving, deficit = refill
-                jobs.append(
-                    (key, group["constraints"], "refill", surviving, deficit,
-                     group["count"])
-                )
-                continue
-            surviving, deficit = self._maintenance_split(
-                group["constraints"], group["count"], group["stale"]
-            )
-            jobs.append(
-                (key, group["constraints"], "maintain", surviving, deficit,
-                 group["count"])
-            )
-        if not jobs:
-            return
-        # One repository fill batch for every pending deficit: jobs group per
-        # shard and (with a parallel backend) different shards fill at once.
-        # Per-key seeding makes the result identical to per-session fills.
-        fresh_by_key = self.pool_repository.fill_many(
-            [
-                PoolFillJob(key, constraints, deficit)
-                for key, constraints, _mode, _surviving, deficit, _count in jobs
-                if deficit > 0
-            ]
-        )
-        if self.telemetry.enabled:
-            self.telemetry.annotate(groups=len(groups), fills=len(fresh_by_key))
-            for key, pool in fresh_by_key.items():
-                self._record_fill_span(key, pool)
-        for key, _constraints, mode, surviving, deficit, count in jobs:
-            if mode == "refill":
-                pool = self._finish_partial_refill(
-                    key,
-                    surviving,
-                    fresh_by_key[key] if deficit > 0 else None,
-                    count,
-                    deficit,
-                )
-            elif surviving is not None:
-                self.pools_maintained += 1
-                pool = (
-                    surviving
-                    if deficit <= 0
-                    else surviving.concatenate(fresh_by_key[key])
-                )
-            else:
-                self.pools_sampled += 1
-                pool = fresh_by_key[key]
-            self.pool_repository.put(key, self._stamp_pool(pool))
-            self._freshly_prefetched.add(key)
 
     def fill_shard_plan(self, session_ids: Sequence[str]) -> Dict[str, int]:
         """Which shard owns each session's next pool fill, for dispatch grouping.
@@ -1487,8 +1329,7 @@ class RecommendationEngine:
             recommender = entry.recommender
             if recommender.pending_pool is not None:
                 continue
-            count = recommender.config.num_samples
-            key = f"n{count}:{recommender.constraints.fingerprint()}"
+            key = pool_key(recommender.constraints, recommender.config.num_samples)
             if key in self.pool_repository:
                 continue
             plan[session_id] = shard_for(key).index

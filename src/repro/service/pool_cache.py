@@ -81,9 +81,8 @@ class LruCache:
     def peek(self, key: Hashable) -> Optional[Any]:
         """Like :meth:`get` but without touching the hit/miss statistics.
 
-        For consumers that already know the entry's provenance — e.g. the
-        engine fetching a pool its own prefetch just built, which would
-        otherwise masquerade as a cache hit.
+        For consumers that already know the entry's provenance, whose
+        lookup should not count as a cache hit or miss.
         """
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -108,11 +107,10 @@ class LruCache:
         """Count a miss decided outside the cache (honest-miss accounting).
 
         Some consumers know an entry's provenance makes a lookup dishonest —
-        e.g. the engine reading back a top-k result its own prefetch just
-        computed, which must count as the miss the prefetch paid for, not a
-        hit.  They fetch via :meth:`peek` and record the miss here, so the
-        cache's own statistics stay the single source of truth instead of
-        call sites reaching into ``cache.stats`` directly.
+        a value they computed themselves must count as the miss that paid
+        for it, not a hit.  They fetch via :meth:`peek` and record the miss
+        here, so the cache's own statistics stay the single source of truth
+        instead of call sites reaching into ``cache.stats`` directly.
         """
         self.stats.misses += 1
 

@@ -52,8 +52,6 @@ import bisect
 import hashlib
 import multiprocessing
 import os
-import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -61,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sampling.base import ConstraintSet, SamplePool, Sampler
+from repro.sampling.base import ConstraintSet, SamplePool
 from repro.sampling.fillspec import (
     FillContext,
     FillSpec,
@@ -77,7 +75,6 @@ __all__ = [
     "PoolFillJob",
     "PoolRepository",
     "PoolShard",
-    "SamplerFactory",
     "ShardBackend",
     "InlineShardBackend",
     "ThreadShardBackend",
@@ -89,17 +86,9 @@ __all__ = [
     "parse_shard_backend",
 ]
 
-#: Deprecated engine-supplied sampler construction: ``factory(pool_key) ->
-#: Sampler``.  A closure over the live engine — it executes anywhere
-#: in-process and nowhere else, which is exactly why it was replaced by the
-#: picklable :class:`~repro.sampling.fillspec.FillSpec` seam below.  Still
-#: accepted (with a ``DeprecationWarning``) so existing call sites keep
-#: working on the inline and thread backends.
-SamplerFactory = Callable[[str], Sampler]
-
-#: The redesigned fill seam: ``factory(pool_key, constraints, count) ->
-#: FillSpec``.  The factory runs engine-side (it folds the engine's seed root
-#: and context digest into the spec); the spec then resolves anywhere —
+#: The fill seam: ``factory(pool_key, constraints, count) -> FillSpec``.
+#: The factory runs engine-side (it folds the engine's seed root and
+#: context digest into the spec); the spec then resolves anywhere —
 #: inline, a shard thread, or a worker process — via the module-level
 #: :func:`~repro.sampling.fillspec.build_sampler`.
 FillSpecFactory = Callable[[str, ConstraintSet, int], FillSpec]
@@ -121,8 +110,7 @@ class PoolFillJob:
     """One pool build request: draw ``count`` samples valid under ``constraints``.
 
     ``spec`` optionally carries a pre-built :class:`FillSpec` for the job;
-    when absent, the owning shard derives one from its ``spec_factory`` (or
-    falls back to the deprecated sampler-factory closure).
+    when absent, the owning shard derives one from its ``spec_factory``.
     """
 
     key: str
@@ -323,13 +311,6 @@ class ProcessShardBackend(ShardBackend):
             items = []
             for job in jobs:
                 spec = shard.spec_for(job)
-                if spec is None:
-                    raise RuntimeError(
-                        "ProcessShardBackend requires FillSpec-based fills: "
-                        "a legacy sampler_factory is a closure over the live "
-                        "engine and cannot cross the process boundary — "
-                        "construct the repository with spec_factory=..."
-                    )
                 # Contexts the initializer already shipped live worker-side;
                 # anything registered since rides along with its spec.
                 context = (
@@ -454,9 +435,9 @@ class PoolRepository(abc.ABC):
     """Keyed storage *and* build service for shared sample pools.
 
     Every layer of the serving stack that touches pools — the engine's
-    per-session provider, ``recommend_many``'s batched prefetch, snapshot
-    restore, the warm-start planner — goes through this interface, so pool
-    placement (one dict, N shards, N processes) is invisible above it.
+    provisioning stage, snapshot restore, the warm-start planner — goes
+    through this interface, so pool placement (one dict, N shards, N
+    processes) is invisible above it.
     """
 
     @abc.abstractmethod
@@ -523,28 +504,18 @@ class PoolShard:
     The shard's ``spec_factory`` is the only engine-derived state it holds,
     and it produces *data* (picklable :class:`FillSpec` records), not live
     samplers — which is what lets a process backend ship the shard's fills
-    across the process boundary.  The deprecated ``sampler_factory`` closure
-    is still honoured for in-process backends.
+    across the process boundary.
     """
 
     def __init__(
-        self,
-        index: int,
-        capacity: int,
-        sampler_factory: Optional[SamplerFactory] = None,
-        spec_factory: Optional[FillSpecFactory] = None,
+        self, index: int, capacity: int, spec_factory: FillSpecFactory
     ) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if sampler_factory is None and spec_factory is None:
-            raise ValueError(
-                "PoolShard needs a spec_factory (or the legacy sampler_factory)"
-            )
         self.index = index
         self.capacity = int(capacity)
         self.cache = SamplePoolCache(capacity)
         self.pinned: Dict[str, SamplePool] = {}
-        self.sampler_factory = sampler_factory
         self.spec_factory = spec_factory
         self.fills = 0
         self.samples_filled = 0
@@ -632,18 +603,15 @@ class PoolShard:
         return list(self.pinned) + self.cache.keys()
 
     # ------------------------------------------------------------------ fills
-    def spec_for(self, job: PoolFillJob) -> Optional[FillSpec]:
-        """The picklable spec describing ``job``, or ``None`` on the legacy path.
+    def spec_for(self, job: PoolFillJob) -> FillSpec:
+        """The picklable spec describing ``job``.
 
         Precedence: a spec the job already carries, then the shard's
-        ``spec_factory``.  ``None`` means only the deprecated in-process
-        sampler-factory closure can run this fill.
+        ``spec_factory``.
         """
         if job.spec is not None:
             return job.spec
-        if self.spec_factory is not None:
-            return self.spec_factory(job.key, job.constraints, job.count)
-        return None
+        return self.spec_factory(job.key, job.constraints, job.count)
 
     def record_fill(self, pool: SamplePool) -> None:
         """Count a completed fill against this shard's load statistics.
@@ -662,14 +630,7 @@ class PoolShard:
 
     def fill(self, job: PoolFillJob) -> SamplePool:
         """Build one pool with a sampler seeded for the job's key."""
-        spec = self.spec_for(job)
-        if spec is not None:
-            pool = execute_fill(spec)
-        else:
-            started = time.perf_counter()
-            sampler = self.sampler_factory(job.key)
-            pool = sampler.sample(job.count, job.constraints)
-            pool.stats["fill_seconds"] = time.perf_counter() - started
+        pool = execute_fill(self.spec_for(job))
         self.record_fill(pool)
         return pool
 
@@ -687,13 +648,7 @@ class ShardedPoolRepository(PoolRepository):
     spec_factory:
         ``factory(pool_key, constraints, count) -> FillSpec``; the engine
         folds its seed root into the spec's derived seed, which is how the
-        determinism contract (module docstring) is honoured.  Required for
-        the process backend.
-    sampler_factory:
-        Deprecated in-process alternative: ``factory(pool_key) -> Sampler``.
-        Still works on the inline and thread backends (with a
-        ``DeprecationWarning``); a process backend rejects it because a
-        closure over the live engine cannot be pickled.
+        determinism contract (module docstring) is honoured.  Required.
     num_shards:
         Number of partitions.  One shard with the inline backend reproduces
         the old single-cache behaviour exactly.
@@ -712,12 +667,11 @@ class ShardedPoolRepository(PoolRepository):
 
     def __init__(
         self,
-        sampler_factory: Optional[SamplerFactory] = None,
+        spec_factory: Optional[FillSpecFactory] = None,
         num_shards: int = 1,
         capacity: int = 512,
         backend: Optional[ShardBackend] = None,
         virtual_nodes: int = 64,
-        spec_factory: Optional[FillSpecFactory] = None,
     ) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be > 0, got {num_shards}")
@@ -725,31 +679,12 @@ class ShardedPoolRepository(PoolRepository):
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         if virtual_nodes <= 0:
             raise ValueError(f"virtual_nodes must be > 0, got {virtual_nodes}")
-        if sampler_factory is not None and spec_factory is not None:
-            raise ValueError(
-                "pass either spec_factory or the legacy sampler_factory, not both"
-            )
-        if sampler_factory is None and spec_factory is None:
-            raise ValueError(
-                "a spec_factory (or the legacy sampler_factory) is required"
-            )
-        if sampler_factory is not None:
-            warnings.warn(
-                "sampler_factory closures are deprecated: pass spec_factory= "
-                "(a FillSpec builder) so fills are plain data and can run on "
-                "the process shard backend",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        if spec_factory is None:
+            raise ValueError("a spec_factory is required")
         self.capacity = int(capacity)
         per_shard = -(-capacity // num_shards) if capacity else 0  # ceil div
         self.shards = [
-            PoolShard(
-                index,
-                per_shard,
-                sampler_factory=sampler_factory,
-                spec_factory=spec_factory,
-            )
+            PoolShard(index, per_shard, spec_factory)
             for index in range(num_shards)
         ]
         self.backend = backend if backend is not None else InlineShardBackend()

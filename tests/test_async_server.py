@@ -146,8 +146,8 @@ class TestDispatchWindow:
         assert dispatcher.stats.size_flushes == 2
         assert dispatcher.stats.timer_flushes == 1
 
-    def test_single_request_takes_the_fast_path(self):
-        """One lone request skips recommend_many entirely."""
+    def test_lone_request_goes_through_recommend_many(self):
+        """A window of one request is served like any other window."""
 
         async def main():
             engine = StubEngine()
@@ -157,9 +157,8 @@ class TestDispatchWindow:
 
         engine, dispatcher, result = asyncio.run(main())
         assert result == "round:solo"
-        assert engine.single_calls == ["solo"]
-        assert engine.batch_calls == []
-        assert dispatcher.stats.fast_path_serves == 1
+        assert engine.batch_calls == [["solo"]]
+        assert engine.single_calls == []
 
     def test_error_isolation_within_a_batch(self):
         """One failing session gets its exception; the rest get rounds."""
@@ -223,9 +222,9 @@ class TestDispatchWindow:
 
         engine, dispatcher, result = asyncio.run(main())
         assert result == "round:kept"
-        # The cancelled session was never served — fast path, "kept" only.
-        assert engine.single_calls == ["kept"]
-        assert engine.batch_calls == []
+        # The cancelled session was never served: "kept" only.
+        assert engine.batch_calls == [["kept"]]
+        assert engine.single_calls == []
         assert dispatcher.stats.requests_cancelled == 1
         assert dispatcher.stats.requests_completed == 1
 
@@ -273,8 +272,7 @@ class TestDefaultWindowFlushesAtLoopIdle:
 
         engine, dispatcher, task = asyncio.run(main())
         assert task.done() and task.result() == "round:solo"
-        assert engine.single_calls == ["solo"]
-        assert dispatcher.stats.fast_path_serves == 1
+        assert engine.batch_calls == [["solo"]]
         assert dispatcher.stats.timer_flushes == 1
 
     def test_submit_after_the_flush_joins_a_fresh_window(self):
@@ -289,8 +287,8 @@ class TestDefaultWindowFlushesAtLoopIdle:
 
         engine, results = asyncio.run(main())
         assert results == ["round:a", "round:b"]
-        assert engine.single_calls == ["a", "b"]
-        assert engine.batch_calls == []
+        assert engine.batch_calls == [["a"], ["b"]]
+        assert engine.single_calls == []
 
     def test_size_flush_cancels_the_pending_idle_flush(self):
         async def main():
@@ -303,8 +301,8 @@ class TestDefaultWindowFlushesAtLoopIdle:
 
         engine, dispatcher, results = asyncio.run(main())
         assert results == ["round:s0", "round:s1", "round:s2"]
-        assert engine.batch_calls == [["s0", "s1"]]
-        assert engine.single_calls == ["s2"]
+        assert engine.batch_calls == [["s0", "s1"], ["s2"]]
+        assert engine.single_calls == []
         assert dispatcher.stats.size_flushes == 1
         assert dispatcher.stats.timer_flushes == 1
 

@@ -2,8 +2,9 @@
 
 The contract under test: a :class:`FillSpec` is pure picklable data, the
 module-level :func:`build_sampler` resolves it identically in any process,
-and the result matches what the engine's in-process sampler construction
-produces — the property every process-parallel fill rests on.
+and the result matches a sampler constructed directly from the engine's
+prior, seed root and configuration — the property every process-parallel
+fill rests on.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ from repro.sampling.fillspec import (
     register_fill_context,
     register_sampler_builder,
 )
+from repro.sampling.batch import BatchRejectionSampler
 from repro.sampling.gaussian_mixture import GaussianMixture
+from repro.sampling.importance import ImportanceSampler
+from repro.sampling.mcmc import MetropolisHastingsSampler
+from repro.sampling.rejection import RejectionSampler
 from repro.service import EngineConfig, RecommendationEngine
 from repro.core.elicitation import ElicitationConfig
 
@@ -185,8 +190,33 @@ class TestBuildSampler:
 
 
 # ============================================================== engine parity
+def reference_fill_sampler(engine, key):
+    """The fill sampler for ``key``, built from the live engine's state.
+
+    The reference :func:`build_sampler` must reproduce from a spec alone:
+    the engine's prior and configuration, with an RNG seeded from the
+    engine's seed root and the key.
+    """
+    rng = np.random.default_rng(derive_fill_seed(engine._fill_seed_root, key))
+    elicitation = engine.config.elicitation
+    if engine.config.use_batch_sampler:
+        return BatchRejectionSampler(
+            engine.prior,
+            rng=rng,
+            noise_probability=elicitation.noise_psi,
+            block_size=engine.config.batch_block_size,
+            max_blocks=engine.config.batch_max_blocks,
+        )
+    sampler_cls = {
+        "rejection": RejectionSampler,
+        "importance": ImportanceSampler,
+        "mcmc": MetropolisHastingsSampler,
+    }[elicitation.sampler]
+    return sampler_cls(engine.prior, rng=rng, noise_probability=elicitation.noise_psi)
+
+
 class TestEngineParity:
-    """The engine's spec factory resolves to its legacy sampler construction."""
+    """The engine's spec factory resolves to the reference sampler."""
 
     @pytest.fixture
     def engine(self):
@@ -212,16 +242,16 @@ class TestEngineParity:
         key = engine._pool_key(CONSTRAINTS, 30)
         spec = engine._fill_spec(key, CONSTRAINTS, 30)
         from_spec = execute_fill(spec)
-        legacy = engine._fill_sampler(key).sample(30, CONSTRAINTS)
-        np.testing.assert_array_equal(from_spec.samples, legacy.samples)
-        np.testing.assert_array_equal(from_spec.weights, legacy.weights)
+        reference = reference_fill_sampler(engine, key).sample(30, CONSTRAINTS)
+        np.testing.assert_array_equal(from_spec.samples, reference.samples)
+        np.testing.assert_array_equal(from_spec.weights, reference.weights)
 
     def test_spec_survives_pickling_and_still_matches(self, engine):
         key = engine._pool_key(CONSTRAINTS, 30)
         spec = pickle.loads(pickle.dumps(engine._fill_spec(key, CONSTRAINTS, 30)))
         from_spec = execute_fill(spec)
-        legacy = engine._fill_sampler(key).sample(30, CONSTRAINTS)
-        np.testing.assert_array_equal(from_spec.samples, legacy.samples)
+        reference = reference_fill_sampler(engine, key).sample(30, CONSTRAINTS)
+        np.testing.assert_array_equal(from_spec.samples, reference.samples)
 
     def test_engine_registers_its_context(self, engine):
         context = get_fill_context(engine._fill_context_digest)

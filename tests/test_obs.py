@@ -296,6 +296,9 @@ class TestTelemetry:
         assert telemetry.record_child("x", 0.1) is None
         assert telemetry.drain_traces() == []
 
+    def test_disabled_spans_share_one_context(self):
+        assert Telemetry.disabled().span("a") is Telemetry.disabled().span("b")
+
     def test_alarms_count_even_when_disabled(self):
         telemetry = Telemetry.disabled()
         telemetry.alarm("replay_divergence", session_id="s1")

@@ -90,25 +90,33 @@ class TestRequestSpanTrees:
         engine.recommend(sid)
         (trace,) = telemetry.drain_traces()
         assert trace["root"] == "engine.recommend"
-        names = span_names(trace)
-        # Root → serve_round → {pool.build → pool.fill, search.topk}.
-        assert names.index("engine.recommend") < names.index("engine.serve_round")
         by_name = {s["name"]: s for s in trace["spans"]}
-        serve = by_name["engine.serve_round"]
-        assert serve["attrs"]["topk_cached"] is False
-        assert "pool_key" in serve["attrs"]
-        assert children_of(trace, serve["span_id"]) == ["pool.build", "search.topk"]
-        build = by_name["pool.build"]
-        assert build["attrs"]["path"] == "sampled"
-        assert children_of(trace, build["span_id"]) == ["pool.fill"]
+        root = by_name["engine.recommend"]
+        # Root → provision (→ pool.fill) → search.topk → serve_round.
+        assert children_of(trace, root["span_id"]) == [
+            "engine.provision",
+            "search.topk",
+            "engine.serve_round",
+        ]
+        provision = by_name["engine.provision"]
+        assert provision["attrs"]["sampled"] == 1
+        assert children_of(trace, provision["span_id"]) == ["pool.fill"]
         search = by_name["search.topk"]
-        assert search["attrs"]["mode"] == "session"
+        assert search["attrs"]["pools"] == 1
         assert search["attrs"]["rows"] >= 1
         assert search["attrs"]["items_accessed"] >= 1
+        assert "pool_key" in by_name["engine.serve_round"]["attrs"]
 
-    def test_batched_request_trace(self, serving_catalog, serving_profile):
+    def test_batched_request_trace(self, serving_catalog, serving_profile, tmp_path):
+        """recommend_many has recommend's tree: one span per stage, one
+        serve_round per session, each with its event-log append."""
         telemetry = traced_telemetry()
-        engine = make_engine(serving_catalog, serving_profile, telemetry)
+        engine = make_engine(
+            serving_catalog,
+            serving_profile,
+            telemetry,
+            store=EventLogStore(str(tmp_path / "log")),
+        )
         ids = [engine.create_session(seed=100 + i) for i in range(4)]
         engine.recommend_many(ids)
         (trace,) = telemetry.drain_traces()
@@ -116,15 +124,22 @@ class TestRequestSpanTrees:
         by_name = {s["name"]: s for s in trace["spans"]}
         root = by_name["engine.recommend_many"]
         assert root["attrs"]["sessions"] == 4
-        top = children_of(trace, root["span_id"])
-        assert top[:2] == ["engine.prefetch_pools", "engine.prefetch_topk"]
-        assert top.count("engine.serve_round") == 4
-        # The batched fill and the shared walk both appear as children.
-        prefetch_pools = by_name["engine.prefetch_pools"]
-        assert children_of(trace, prefetch_pools["span_id"]) == ["pool.fill"]
-        batched_search = by_name["search.topk"]
-        assert batched_search["attrs"]["mode"] == "batched"
-        assert batched_search["attrs"]["dedup_rate"] >= 0.0
+        assert children_of(trace, root["span_id"]) == [
+            "engine.provision",
+            "search.topk",
+        ] + ["engine.serve_round"] * 4
+        # Four sessions, one shared empty-prefix pool: one build, one fill.
+        provision = by_name["engine.provision"]
+        assert provision["attrs"]["sessions"] == 4
+        assert provision["attrs"]["sampled"] == 1
+        assert children_of(trace, provision["span_id"]) == ["pool.fill"]
+        search = by_name["search.topk"]
+        assert search["attrs"]["pools"] == 1
+        assert search["attrs"]["dedup_rate"] >= 0.0
+        for serve in trace["spans"]:
+            if serve["name"] == "engine.serve_round":
+                assert children_of(trace, serve["span_id"]) == ["eventlog.append"]
+        engine.event_log.close()
 
     def test_process_shard_request_trace_end_to_end(
         self, serving_catalog, serving_profile, tmp_path

@@ -44,21 +44,6 @@ from repro.service import (
 NUM_FEATURES = 3
 
 
-def make_factory(prior=None):
-    """A key-deterministic *legacy* sampler factory (deprecated closure path)."""
-    prior = prior or GaussianMixture.default_prior(NUM_FEATURES, rng=0)
-
-    def factory(key: str):
-        import hashlib
-
-        digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-        return RejectionSampler(
-            prior, rng=np.random.default_rng(int.from_bytes(digest, "big"))
-        )
-
-    return factory
-
-
 def make_spec_factory(prior=None, sampler="rejection", seed_root=0):
     """A key-deterministic FillSpec factory (the engine's contract, in miniature)."""
     prior = prior or GaussianMixture.default_prior(NUM_FEATURES, rng=0)
@@ -334,39 +319,6 @@ class TestShardBackends:
         backend.close()
 
 
-# ============================================================ legacy factories
-class TestLegacySamplerFactory:
-    CONSTRAINTS = ConstraintSet(np.array([[1.0, 0.0, 0.0]]))
-
-    def test_sampler_factory_warns_but_keeps_working(self):
-        with pytest.warns(DeprecationWarning, match="spec_factory"):
-            repository = ShardedPoolRepository(
-                sampler_factory=make_factory(), num_shards=4, capacity=16
-            )
-        a = repository.fill_one("k", self.CONSTRAINTS, 12)
-        b = repository.fill_one("k", self.CONSTRAINTS, 12)
-        np.testing.assert_array_equal(a.samples, b.samples)
-
-    def test_both_factories_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            ShardedPoolRepository(
-                sampler_factory=make_factory(),
-                spec_factory=make_spec_factory(),
-            )
-
-    def test_legacy_factory_cannot_cross_the_process_boundary(self):
-        with pytest.warns(DeprecationWarning):
-            repository = ShardedPoolRepository(
-                sampler_factory=make_factory(),
-                num_shards=2,
-                backend=ProcessShardBackend(max_workers=2),
-            )
-        jobs = [PoolFillJob(f"k{i}", self.CONSTRAINTS, 5) for i in range(4)]
-        with pytest.raises(RuntimeError, match="spec_factory"):
-            repository.fill_many(jobs)
-        repository.close()
-
-
 # ============================================================ process backend
 class TestProcessShardBackend:
     CONSTRAINTS = ConstraintSet(np.array([[1.0, 0.0, 0.0]]))
@@ -608,21 +560,6 @@ class TestShardedEngineEquivalence:
         assert engine.fill_shard_plan(ids) == {}
         # unknown sessions are omitted, never an error (planning is advisory)
         assert engine.fill_shard_plan(["ghost"]) == {}
-
-    def test_pool_cache_alias_warns_once(self, serving_catalog, serving_profile):
-        engine = make_engine(serving_catalog, serving_profile)
-        RecommendationEngine._pool_cache_warned = False
-        try:
-            with pytest.warns(DeprecationWarning, match="pool_repository"):
-                assert engine.pool_cache is engine.pool_repository
-            # second access is silent (warn once per process)
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")
-                assert engine.pool_cache is engine.pool_repository
-        finally:
-            RecommendationEngine._pool_cache_warned = True
 
     def test_sharded_batched_matches_sharded_serial(
         self, serving_catalog, serving_profile

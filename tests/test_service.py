@@ -21,6 +21,7 @@ from repro.sampling.base import ConstraintSet, SamplePool
 from repro.sampling.batch import BatchRejectionSampler
 from repro.sampling.gaussian_mixture import GaussianMixture
 from repro.service import (
+    AdaptationConfig,
     EngineConfig,
     JsonSessionStore,
     LruCache,
@@ -358,23 +359,85 @@ class TestPoolSharing:
         assert stats.pool_cache["misses"] == 0
         assert stats.pool_cache["puts"] == 0
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"pool_shards": 4},
+            {"partial_refill": True, "refill_psi": 0.2},
+            {"search_carryover": False},
+            {"topk_cache_size": 2},
+            {"pool_cache_size": 1},
+            {"pool_adaptation": AdaptationConfig()},
+        ],
+        ids=[
+            "default",
+            "shards",
+            "partial-refill",
+            "no-carryover",
+            "tiny-topk-cache",
+            "tiny-pool-cache",
+            "adaptation",
+        ],
+    )
     def test_batched_recommend_many_matches_serial(
+        self, serving_catalog, serving_profile, overrides
+    ):
+        """One call per session or one call for all: the same rounds.
+
+        Sessions click different packages, so every round after the first
+        serves several distinct pools.  The walk is exact: a capped walk may
+        legitimately differ when the pools it shares differ.
+        """
+        config = EngineConfig(
+            elicitation=fast_elicitation_config(
+                search_beam_width=None, search_items_cap=None
+            ),
+            seed=1,
+            **overrides,
+        )
+
+        def drive(batched):
+            engine = RecommendationEngine(serving_catalog, serving_profile, config)
+            ids = [engine.create_session(seed=4 + i) for i in range(3)]
+            presented = []
+            for round_index in range(3):
+                if batched:
+                    rounds = engine.recommend_many(ids)
+                else:
+                    rounds = [engine.recommend(sid) for sid in ids]
+                presented.append([presented_items(r) for r in rounds])
+                for index, (sid, round_) in enumerate(zip(ids, rounds)):
+                    engine.feedback(sid, (round_index + index) % len(round_.presented))
+            return presented
+
+        assert drive(batched=False) == drive(batched=True)
+
+    def test_tiny_pool_cache_builds_each_pool_once_per_batch(
         self, serving_catalog, serving_profile
     ):
-        serial = make_engine(serving_catalog, serving_profile)
-        batched = make_engine(serving_catalog, serving_profile)
-        ids_serial = [serial.create_session(seed=4) for _ in range(3)]
-        ids_batched = [batched.create_session(seed=4) for _ in range(3)]
-        serial_rounds = [serial.recommend(sid) for sid in ids_serial]
-        batched_rounds = batched.recommend_many(ids_batched)
-        assert [presented_items(r) for r in serial_rounds] == [
-            presented_items(r) for r in batched_rounds
-        ]
+        """A pool built for a batch reaches its session even when the next
+        build evicts it from a one-slot repository."""
+        engine = make_engine(serving_catalog, serving_profile, pool_cache_size=1)
+        ids = [engine.create_session(seed=4 + i) for i in range(3)]
+        rounds = engine.recommend_many(ids)
+        for index, (sid, round_) in enumerate(zip(ids, rounds)):
+            engine.feedback(sid, index)
+        fingerprints = {
+            engine.sessions.peek(sid).recommender.constraints.fingerprint()
+            for sid in ids
+        }
+        assert len(fingerprints) == 3
+        fills = engine.pool_repository.fills
+        built = engine.stats().pools_built
+        engine.recommend_many(ids)
+        assert engine.pool_repository.fills - fills == 3
+        assert engine.stats().pools_built - built == 3
 
 
 # ========================================== across-session search batching
 class TestAcrossSessionSearchBatching:
-    """recommend_many's one-walk top-k prefetch over every missing pool."""
+    """The search stage's one shared walk over every pool missing a list."""
 
     def _exact_engine(self, catalog, profile, **engine_overrides):
         """An engine with *exact* search settings: a finite beam pools its
@@ -413,29 +476,11 @@ class TestAcrossSessionSearchBatching:
                 p.items for p in expected
             ]
 
-    def test_across_session_batching_preserves_rounds(
-        self, serving_catalog, serving_profile
-    ):
-        """The flag only changes *how* searches run, not what is served."""
-        on = self._exact_engine(serving_catalog, serving_profile)
-        off = self._exact_engine(
-            serving_catalog, serving_profile, batch_search_across_sessions=False
-        )
-        ids_on = self._heterogeneous_round(on)
-        ids_off = self._heterogeneous_round(off)
-        rounds_on = on.recommend_many(ids_on)
-        rounds_off = off.recommend_many(ids_off)
-        assert [presented_items(r) for r in rounds_on] == [
-            presented_items(r) for r in rounds_off
-        ]
-        assert on.stats().topk_batched_pools >= 2
-        assert off.stats().topk_batched_pools == 0
-
     def test_topk_prefetch_counts_one_honest_miss_per_pool(
         self, serving_catalog, serving_profile
     ):
-        """A prefetch-computed ranked list is a miss for the session that
-        caused it; only genuinely shared fetches count as hits."""
+        """A ranked list the walk computed is a miss for the session that
+        caused it; only the sessions sharing it count hits."""
         engine = make_engine(serving_catalog, serving_profile)
         ids = [engine.create_session(seed=4) for _ in range(3)]
         engine.recommend_many(ids)
@@ -467,18 +512,14 @@ class TestAcrossSessionSearchBatching:
     def test_prefetch_respects_a_tiny_topk_cache(
         self, serving_catalog, serving_profile
     ):
-        """More distinct pools than cache slots: the prefetch must not search
-        pools whose results would be evicted before their sessions read them,
-        and the excess sessions still get correct rounds serially."""
+        """More distinct pools than cache slots: every session still gets the
+        ranked list of its own pool, although the cache keeps only two."""
         engine = self._exact_engine(
             serving_catalog, serving_profile, topk_cache_size=2
         )
         ids = self._heterogeneous_round(engine)  # 5 distinct pools
-        batched_before = engine.stats().topk_batched_pools
         rounds = engine.recommend_many(ids)
         assert len(rounds) == len(ids)
-        # At most cache-capacity pools joined this batch's shared walk.
-        assert engine.stats().topk_batched_pools - batched_before <= 2
         for session_id, round_ in zip(ids, rounds):
             recommender = engine.sessions.acquire(session_id).recommender
             assert [p.items for p in round_.recommended] == [
@@ -719,11 +760,10 @@ class TestReviewRegressions:
     def test_no_wasted_prefetch_when_pool_cache_disabled(
         self, serving_catalog, serving_profile
     ):
-        """recommend_many must not batch-build pools it cannot cache."""
+        """Without pool sharing every session builds its own pool, once."""
         engine = make_engine(serving_catalog, serving_profile, pool_cache_size=0)
         ids = [engine.create_session(seed=4) for _ in range(4)]
         engine.recommend_many(ids)
-        # One build per session's own provider; no discarded prefetch batch.
         stats = engine.stats()
         assert stats.pools_sampled + stats.pools_maintained == 4
 
@@ -796,8 +836,8 @@ class TestReviewRegressions:
     def test_prefetch_builds_are_not_counted_as_cache_hits(
         self, serving_catalog, serving_profile
     ):
-        """The builder session's first fetch of its freshly prefetched pool
-        is the miss that caused the build, not a cache win."""
+        """The builder session's lookup is the miss that caused the build,
+        not a cache win."""
         engine = make_engine(serving_catalog, serving_profile)
         ids = [engine.create_session(seed=4) for _ in range(3)]
         engine.recommend_many(ids)

@@ -11,10 +11,10 @@ duration, status, and the interesting attributes inline::
       dispatcher.dispatch                      0.00ms +12.410ms
         dispatcher.queue_wait                 -1.92ms  +1.920ms session_id=sess-000003
         engine.recommend_many                  0.03ms +12.300ms sessions=4
-          engine.prefetch_pools                0.05ms  +9.100ms fills=1
+          engine.provision                     0.05ms  +9.100ms sessions=4 sampled=1
             pool.fill                          0.40ms  +8.600ms worker_pid=19865
-          engine.prefetch_topk                 9.20ms  +2.100ms
-            search.topk                        9.25ms  +2.000ms mode=batched
+          search.topk                          9.20ms  +2.000ms pools=1 k=3
+          engine.serve_round                  11.25ms  +0.250ms session_id=sess-000003
 
 Negative start offsets are real: backdated spans (queue waits) begin before
 the root span opened.  Orphaned spans (parent not in the trace) are listed
@@ -45,10 +45,12 @@ INTERESTING_ATTRS = (
     "sessions",
     "pool_key",
     "key",
-    "path",
-    "mode",
+    "sampled",
+    "maintained",
+    "refill",
+    "adapted",
     "pools",
-    "fills",
+    "k",
     "worker_pid",
     "rows",
     "unique_rows",
@@ -133,9 +135,9 @@ def selftest():
                 "dispatcher.queue_wait", 0.002, session_id="sess-000001"
             )
             with tracer.span("engine.recommend_many", sessions=2):
-                with tracer.span("engine.prefetch_pools"):
+                with tracer.span("engine.provision", sessions=2, sampled=1):
                     tracer.record_child("pool.fill", 0.004, worker_pid=4242)
-                with tracer.span("search.topk", mode="batched", pools=2):
+                with tracer.span("search.topk", pools=1, k=3):
                     pass
         sink.close()
 
@@ -152,10 +154,11 @@ def selftest():
             "engine.recommend_many",
             "pool.fill",
             "worker_pid=4242",
-            "mode=batched",
+            "sampled=1",
+            "pools=1 k=3",
         ):
             assert needle in text, f"selftest output missing {needle!r}"
-        # The fill span must be indented under prefetch_pools (depth 3 →
+        # The fill span must be indented under engine.provision (depth 3 →
         # 8 leading spaces), proving parent links drive the layout.
         fill_line = next(l for l in text.splitlines() if "pool.fill" in l)
         assert fill_line.startswith(" " * 8), fill_line
