@@ -1,4 +1,4 @@
-"""Benchmark: the incremental serving fast path (carryover + partial refill).
+"""Benchmark: the incremental serving fast path (ESS-deficit partial refill).
 
 Not a paper figure — this measures the incremental tentpole along its
 acceptance axes (see DESIGN.md "Incremental serving").  Two identically
@@ -6,13 +6,14 @@ seeded engines serve the same private-exploration click streams (every
 post-click constraint set is a fresh fingerprint, so every post-click round
 pays a pool miss):
 
-* **fused** — the incremental fast path: candidate carryover seeds each
-  post-click search from the pre-click frontier, and ESS-deficit partial
-  refill reweights the stale pool under ψ and draws only the Kish-ESS
-  deficit;
-* **from-scratch** — carryover off, ``maintain_on_miss=False``: every
-  post-click round re-samples its full pool and searches cold, the
-  pre-incremental path the equivalence suite compares against.
+* **fused** — the incremental fast path: ESS-deficit partial refill
+  reweights the stale pool under ψ and draws only the Kish-ESS deficit;
+* **from-scratch** — ``maintain_on_miss=False``: every post-click round
+  re-samples its full pool, the pre-incremental path the equivalence suite
+  compares against.
+
+Both engines run the same cold top-k walk per round; only pool provisioning
+differs.
 
 The headline is the **post-click round serve latency** (`recommend` after
 feedback): the deeper the session, the tighter its constraint set and the
@@ -22,13 +23,6 @@ invalidated.  The finer-grained attribution isolates the refill half: the
 miss-path provisioning call alone (``recommender.sample_pool()``), refill
 vs the §3.4 hard-maintenance default, on the smaller-pool workload where
 maintenance is the binding baseline.
-
-Carryover is latency-neutral on exact searches (the hint seeding costs
-about what the tightened walk saves — its value is anytime-mode quality and
-cross-round exactness, pinned in tests/test_topk_batch.py and
-tests/test_incremental.py), so the fused per-round win is dominated by the
-refill half; the carried search is asserted to have actually run
-(``candidates_carried > 0``), not to have won on its own.
 
 Headline metrics asserted and recorded for the CI gate
 (``tools/bench_gate.py``):
@@ -166,8 +160,7 @@ def incremental_report():
         ROUND_NUM_SESSIONS, ROUND_NUM_ROUNDS,
     )
     scratch_times, scratch_stats = _run_round_workload(
-        _engine(ROUND_NUM_SAMPLES, search_carryover=False,
-                maintain_on_miss=False),
+        _engine(ROUND_NUM_SAMPLES, maintain_on_miss=False),
         ROUND_NUM_SESSIONS, ROUND_NUM_ROUNDS,
     )
     p50_fused = float(np.median(fused_times))
@@ -189,7 +182,7 @@ def incremental_report():
     refill_speedup = p50_maintained / p50_refilled if p50_refilled else 0.0
 
     header = (
-        "Incremental serving — cross-round carryover + ESS-deficit refill\n"
+        "Incremental serving — ESS-deficit partial refill\n"
         f"post-click rounds {round_speedup:.1f}x faster via the fused path "
         f"(floor {MIN_ROUND_SPEEDUP}x); refilled miss provisioning "
         f"{refill_speedup:.1f}x faster than hard maintenance "
@@ -204,8 +197,7 @@ def incremental_report():
             f"  fused:        p50={p50_fused * 1e3:.3f}ms "
             f"mean={fused_times.mean() * 1e3:.3f}ms over "
             f"{fused_times.size} rounds "
-            f"({fused_stats.candidates_carried} candidates carried, "
-            f"{fused_stats.pools_partial_refilled} pools refilled)",
+            f"({fused_stats.pools_partial_refilled} pools refilled)",
             f"  from-scratch: p50={p50_scratch * 1e3:.3f}ms "
             f"mean={scratch_times.mean() * 1e3:.3f}ms "
             f"({scratch_stats.pools_sampled} pools resampled)",
@@ -248,7 +240,7 @@ def incremental_report():
         source="benchmarks/test_bench_incremental.py",
         description=(
             f"Median from-scratch post-click round serve latency over median "
-            f"fused (carryover + ESS-deficit refill) round latency, "
+            f"fused (ESS-deficit refill) round latency, "
             f"{ROUND_NUM_SESSIONS} private-exploration sessions x "
             f"{ROUND_NUM_ROUNDS} rounds, {ROUND_NUM_SAMPLES}-sample pools"
         ),
@@ -300,9 +292,7 @@ def test_every_miss_took_the_path_under_test(incremental_report):
     # engine provisioned it through the path under test.
     post_click = incremental_report["fused_times"].size
     assert fused.pools_partial_refilled >= post_click
-    assert fused.candidates_carried > 0
     assert scratch.pools_sampled >= post_click
-    assert scratch.candidates_carried == 0
 
     refilled = incremental_report["refilled_stats"]
     maintained = incremental_report["maintained_stats"]

@@ -5,14 +5,11 @@ its two acceptance axes:
 
 * **Sharding equivalence** — a heterogeneous ``recommend_many`` workload
   (every session its own constraint fingerprint after round one) served by a
-  ``ShardedPoolRepository`` with 4 thread-backed shards must produce
+  ``ShardedPoolRepository`` with 4 inline shards must produce
   **bit-identical rounds** to the unsharded engine (1 shard, inline).  Fills
   are key-deterministic, so sharding changes *where* pools are built, never
   what is served.  The asserted metric is the equivalence indicator itself
-  (1.0 = every presented package of every round identical); the 4-vs-1-shard
-  wall-clock ratio is recorded as an informational metric — on a multi-core
-  host thread-backed shards overlap their fills, on a single-core CI runner
-  the ratio hovers around 1.
+  (1.0 = every presented package of every round identical).
 * **Process-backend equivalence** — the same workload served by 4
   process-backed shards (``pool_shard_backend="process"``): fills execute in
   worker processes (asserted via recorded worker PIDs) yet every round is
@@ -123,7 +120,7 @@ def _run_compaction(scale, tmp_path_factory):
     engine = _engine(
         scale,
         NUM_SHARDS,
-        "thread",
+        "inline",
         store=compact_store,
         elicitation=_elicitation_config(num_samples=400),
     )
@@ -148,7 +145,7 @@ def _run_compaction(scale, tmp_path_factory):
     restarted = _engine(
         scale,
         NUM_SHARDS,
-        "thread",
+        "inline",
         store=compact_store,
         elicitation=_elicitation_config(num_samples=400),
     )
@@ -172,7 +169,7 @@ def sharding_reports(scale, tmp_path_factory):
 
     unsharded = _engine(scale, 1, "inline")
     rounds_unsharded, seconds_unsharded = _run_heterogeneous(unsharded)
-    sharded = _engine(scale, NUM_SHARDS, "thread")
+    sharded = _engine(scale, NUM_SHARDS, "inline")
     rounds_sharded, seconds_sharded = _run_heterogeneous(sharded)
     sharded_stats = sharded.stats()
     sharded.close_repository()
@@ -189,7 +186,6 @@ def sharding_reports(scale, tmp_path_factory):
     process.close_repository()
 
     equivalence = 1.0 if rounds_sharded == rounds_unsharded else 0.0
-    fill_speedup = seconds_unsharded / seconds_sharded if seconds_sharded else 0.0
     out_of_process = bool(worker_pids) and os.getpid() not in worker_pids
     process_equivalence = (
         1.0 if rounds_process == rounds_unsharded and out_of_process else 0.0
@@ -204,7 +200,7 @@ def sharding_reports(scale, tmp_path_factory):
     header = (
         "Sharded pool service — fingerprint-partitioned PoolRepository\n"
         f"{NUM_SESSIONS} heterogeneous sessions x {NUM_ROUNDS} rounds, "
-        f"{NUM_SHARDS} thread-backed shards vs unsharded: "
+        f"{NUM_SHARDS} inline shards vs unsharded: "
         f"bit-identical={equivalence == 1.0} "
         f"(floor: exact equivalence); process backend "
         f"bit-identical={process_equivalence == 1.0}; snapshot compaction = "
@@ -215,9 +211,7 @@ def sharding_reports(scale, tmp_path_factory):
         [
             "[sharding equivalence (asserted)]",
             f"  unsharded: 1 shard inline, {seconds_unsharded:.3f}s",
-            f"  sharded:   {NUM_SHARDS} shards thread, {seconds_sharded:.3f}s "
-            f"(x{fill_speedup:.2f} vs unsharded; informational — "
-            f"thread shards only overlap on multi-core hosts)",
+            f"  sharded:   {NUM_SHARDS} shards inline, {seconds_sharded:.3f}s",
             f"  per-shard fills: {shard_fills} "
             f"(multi_shard_fill_batches={repo['multi_shard_fill_batches']})",
             f"  rounds bit-identical: {equivalence == 1.0}",
@@ -251,7 +245,7 @@ def sharding_reports(scale, tmp_path_factory):
         MIN_EQUIVALENCE,
         source="benchmarks/test_bench_sharding.py",
         description=(
-            f"1.0 iff {NUM_SHARDS} thread-backed shards serve bit-identical "
+            f"1.0 iff {NUM_SHARDS} inline shards serve bit-identical "
             f"rounds to the unsharded engine, {NUM_SESSIONS} heterogeneous "
             f"sessions x {NUM_ROUNDS} rounds"
         ),
@@ -290,19 +284,8 @@ def sharding_reports(scale, tmp_path_factory):
             f"{MULTICORE_SPEEDUP_FLOOR}x on a multi-core host)"
         ),
     )
-    record_ci_metric(
-        "sharding_parallel_fill_speedup",
-        fill_speedup,
-        0.0,  # informational: single-core runners cannot overlap threads
-        source="benchmarks/test_bench_sharding.py",
-        description=(
-            f"Unsharded wall time over {NUM_SHARDS}-thread-shard wall time on "
-            f"the heterogeneous workload (informational; needs cores to win)"
-        ),
-    )
     return {
         "equivalence": equivalence,
-        "fill_speedup": fill_speedup,
         "sharded_stats": sharded_stats,
         "process_equivalence": process_equivalence,
         "process_speedup": process_speedup,
@@ -322,7 +305,7 @@ def test_fills_were_partitioned_across_shards(sharding_reports):
     shards fill pools, and at least one batch spanned multiple shards."""
     repo = sharding_reports["sharded_stats"].pool_repository
     assert repo["num_shards"] == NUM_SHARDS
-    assert repo["backend"] == "thread"
+    assert repo["backend"] == "inline"
     busy = sum(shard["fills"] > 0 for shard in repo["per_shard"])
     assert busy >= 2
     assert repo["multi_shard_fill_batches"] >= 1

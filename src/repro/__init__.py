@@ -59,7 +59,7 @@ from repro.sampling.rejection import RejectionSampler
 from repro.sampling.importance import ImportanceSampler
 from repro.sampling.mcmc import MetropolisHastingsSampler
 from repro.topk.package_search import PackageSearchResult, TopKPackageSearcher
-from repro.topk.batch_search import BatchTopKPackageSearcher, CandidateCarryover
+from repro.topk.batch_search import BatchTopKPackageSearcher
 from repro.topk.bruteforce import brute_force_top_k_packages
 from repro.data.datasets import load_benchmark_dataset
 from repro.data.nba import generate_nba_dataset
@@ -158,7 +158,6 @@ __all__ = [
     "MetropolisHastingsSampler",
     "TopKPackageSearcher",
     "BatchTopKPackageSearcher",
-    "CandidateCarryover",
     "PackageSearchResult",
     "brute_force_top_k_packages",
     "load_benchmark_dataset",

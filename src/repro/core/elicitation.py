@@ -127,7 +127,12 @@ class ElicitationConfig:
         differ from sequential beam search (both are bounded-work anytime
         modes, not exact).
     search_items_cap:
-        Cap on items accessed per search; ``None`` means no cap.
+        Cap on items accessed per search; ``None`` means no cap.  A capped
+        vector reports its best among the candidates the walk discovered,
+        and the batch walk shares candidates across all the vectors (and,
+        in a serving engine, all the pools) it searches together — so capped
+        results depend on what was searched alongside, and batched serving
+        may differ from serving each session alone.
     use_batch_search:
         Answer the per-sample top-k queries with the vectorised
         :class:`~repro.topk.batch_search.BatchTopKPackageSearcher` (one

@@ -88,8 +88,8 @@ class SortedOrderCache:
     Every :class:`~repro.topk.sorted_lists.SortedItemLists` cursor needs one
     ordering per active feature; before this cache each cursor re-argsorted
     its columns — O(F·N log N) per cursor, paid once per weight vector per
-    search.  The cache keys orders by ``(feature, descending)`` so inline and
-    thread-backed engines compute each order at most once per catalog.
+    search.  The cache keys orders by ``(feature, descending)`` so every
+    cursor over a catalog shares each order, computed at most once.
 
     Returned arrays are shared — callers must treat them as read-only.
     """

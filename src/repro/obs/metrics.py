@@ -3,8 +3,8 @@
 Design constraints, in order:
 
 1. **Hot-path cost.**  ``Counter.inc`` and ``Histogram.observe`` run inside
-   the serving fast paths (including worker threads of the thread shard
-   backend), so each instrument carries its own small lock and does O(1)
+   the serving fast paths and may be read from other threads while the
+   engine serves, so each instrument carries its own small lock and does O(1)
    work — a histogram observation is one ``bisect`` into precomputed bucket
    boundaries.  Nothing allocates on the hot path.
 2. **Exact, testable percentiles.**  Buckets are geometric

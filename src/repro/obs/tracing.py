@@ -9,7 +9,7 @@ start, perf-counter duration, free-form attributes, and parent links.
 The tracer is deliberately **single-threaded**: the serving path that opens
 and closes spans runs on one thread (the engine's synchronous core; the
 dispatcher's asyncio loop is also one thread).  Work fanned out to shard
-worker threads/processes is not traced in-flight; instead the engine
+worker processes is not traced in-flight; instead the engine
 records *reconstructed* child spans from the stats each fill returns
 (worker PID, fill seconds).  That keeps the hot instrumentation free of
 locks — the thread-safety burden lives in :mod:`repro.obs.metrics`.

@@ -23,8 +23,8 @@ This module is that representation:
   RNG) from the spec alone, looking the context up by digest;
   ``execute_fill(spec)`` runs the fill and returns the
   :class:`~repro.sampling.base.SamplePool`.  Because both are module-level
-  functions of pure data, the *same* spec resolves identically inline, on a
-  thread, or in a worker process — which is what keeps process-sharded
+  functions of pure data, the *same* spec resolves identically inline or in
+  a worker process — which is what keeps process-sharded
   engines bit-identical to unsharded ones.
 * :func:`derive_fill_seed` — the key-deterministic seed derivation
   (blake2b over ``pool-fill:<seed root>:<key>``), the one formula every
@@ -74,8 +74,8 @@ def derive_fill_seed(seed_root: int, key: str) -> int:
 
     This is the serving stack's determinism contract in one function: the
     sampler RNG for pool ``key`` depends only on the engine's seed root and
-    the key itself, so any worker anywhere — same process, a shard thread, a
-    spawned worker, another host — refills the pool bit-identically.
+    the key itself, so any worker anywhere — same process, a spawned
+    worker, another host — refills the pool bit-identically.
     """
     digest = hashlib.blake2b(
         f"pool-fill:{seed_root}:{key}".encode(), digest_size=16
@@ -154,7 +154,7 @@ class FillContext:
 
 
 #: Process-local context registry: digest -> context.  The engine registers
-#: its context at construction (covering inline and thread fills); a process
+#: its context at construction (covering inline fills); a process
 #: backend's worker initializer registers it worker-side.
 _CONTEXTS: Dict[str, FillContext] = {}
 
@@ -174,7 +174,7 @@ def register_fill_context(context: FillContext) -> str:
     _CONTEXTS.setdefault(digest, context)
     if context.catalog_digest is not None and context.catalog_path is not None:
         # Record where the referenced columnar store lives so this process
-        # (engine, shard thread, or pool-fill worker — the process backend's
+        # (engine or pool-fill worker — the process backend's
         # initializer funnels through here) can mmap it on demand by digest.
         from repro.data.columnar import register_catalog_location
 

@@ -18,7 +18,7 @@ identical therefore share one pool and one top-k result, keyed by a canonical
   fingerprint-partitioned pool state layer: pool keys consistent-hash across
   N shards, each owning its pools, LRU budget, pinned set and fill
   construction, with fills grouped per shard and runnable in parallel via a
-  :class:`ShardBackend` (inline, threads, or worker processes).  Each fill is
+  :class:`ShardBackend` (inline or worker processes).  Each fill is
   described by a picklable :class:`~repro.sampling.fillspec.FillSpec` —
   plain data resolved by the module-level ``build_sampler`` — which is what
   lets :class:`ProcessShardBackend` ship fills across the process boundary
@@ -99,7 +99,6 @@ from repro.service.pool_repository import (
     SHARD_BACKEND_NAMES,
     ShardBackend,
     ShardedPoolRepository,
-    ThreadShardBackend,
     WarmStartPlanner,
     WarmStartReport,
     build_shard_backend,
@@ -148,7 +147,6 @@ __all__ = [
     "SHARD_BACKEND_NAMES",
     "ShardBackend",
     "ShardedPoolRepository",
-    "ThreadShardBackend",
     "WarmStartPlanner",
     "WarmStartReport",
     "build_sampler",

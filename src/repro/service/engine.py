@@ -66,7 +66,7 @@ import hashlib
 import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -115,7 +115,7 @@ from repro.service.pool_repository import (
     build_shard_backend,
     parse_shard_backend,
 )
-from repro.topk.batch_search import BatchTopKPackageSearcher, CandidateCarryover
+from repro.topk.batch_search import BatchTopKPackageSearcher
 from repro.service.session_manager import (
     SessionEntry,
     SessionExpiredError,
@@ -201,10 +201,9 @@ class EngineConfig:
         across.  Results are bit-identical for any shard count; sharding
         changes *where* fills run, never what they produce.
     pool_shard_backend:
-        ``"inline"`` (sequential, default), ``"thread"`` (one worker per
-        shard; fills for different shards overlap but share the GIL), or
-        ``"process"`` (a persistent worker-process pool — fills escape the
-        GIL entirely; see
+        ``"inline"`` (sequential on the calling thread, default) or
+        ``"process"`` (a persistent worker-process pool — fills for
+        different shards run in parallel outside the GIL; see
         :class:`~repro.service.pool_repository.ProcessShardBackend`).  A
         ``":N"`` suffix overrides the worker count, e.g. ``"process:4"``.
     topk_cache_size:
@@ -237,16 +236,6 @@ class EngineConfig:
         (donors live in the repository).  Adapted pools are marked in their
         ``stats`` and carry distinct content digests; they are never mistaken
         for exact key-deterministic builds.
-    search_carryover:
-        Cross-round candidate carryover (incremental search): the engine's
-        batch searcher keeps a bounded
-        :class:`~repro.topk.batch_search.CandidateCarryover` cache of the
-        candidate packages each pool-key's search discovered, and a session's
-        post-click search is seeded from its pre-click key's candidates.
-        Seeds are *hints* — every carried candidate is re-scored under the
-        new weight vectors and the η/τ bound machinery runs unchanged — so
-        results are exact (bit-identical to an uncached search); only the
-        sorted-list walk shortens.  Default on.
     partial_refill:
         ESS-deficit partial refill (incremental sampling): on a pool miss
         after feedback, instead of the all-or-nothing choice between §3.4
@@ -301,7 +290,6 @@ class EngineConfig:
     batch_max_blocks: int = 64
     maintain_on_miss: bool = True
     pool_adaptation: Optional[AdaptationConfig] = None
-    search_carryover: bool = True
     partial_refill: bool = False
     refill_psi: Optional[float] = None
     refill_min_ess_fraction: float = 0.5
@@ -324,9 +312,9 @@ class EngineConfig:
             raise ValueError("cache sizes must be >= 0")
         if self.pool_shards <= 0:
             raise ValueError(f"pool_shards must be > 0, got {self.pool_shards}")
-        # Accepts "inline" / "thread" / "process", each optionally suffixed
-        # ":N" to override the worker count; unknown names raise here with
-        # the valid list.
+        # Accepts "inline" / "process", each optionally suffixed ":N" to
+        # override the worker count; unknown names raise here with the
+        # valid list.
         parse_shard_backend(self.pool_shard_backend)
         if (
             self.warm_start_first_clicks is not None
@@ -413,35 +401,10 @@ class EngineStats:
     #: directly and are counted by ``pools_warmed`` alone.
     pools_built: int = 0
     pools_partial_refilled: int = 0
-    candidates_carried: int = 0
-    carryover: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "sessions_created": self.sessions_created,
-            "sessions_active": self.sessions_active,
-            "sessions_expired": self.sessions_expired,
-            "sessions_swapped_out": self.sessions_swapped_out,
-            "sessions_restored": self.sessions_restored,
-            "swap_writes_skipped": self.swap_writes_skipped,
-            "rounds_served": self.rounds_served,
-            "feedback_events": self.feedback_events,
-            "pools_sampled": self.pools_sampled,
-            "pools_maintained": self.pools_maintained,
-            "pools_adapted": self.pools_adapted,
-            "pools_warmed": self.pools_warmed,
-            "topk_batched_pools": self.topk_batched_pools,
-            "pool_cache": dict(self.pool_cache),
-            "pool_repository": dict(self.pool_repository),
-            "topk_cache": dict(self.topk_cache),
-            "adaptation": dict(self.adaptation),
-            "sessions_replayed": self.sessions_replayed,
-            "eventlog": dict(self.eventlog),
-            "pools_built": self.pools_built,
-            "pools_partial_refilled": self.pools_partial_refilled,
-            "candidates_carried": self.candidates_carried,
-            "carryover": dict(self.carryover),
-        }
+        """Every field as plain data; nested dicts are copies."""
+        return asdict(self)
 
 
 class RecommendationEngine:
@@ -550,8 +513,8 @@ class RecommendationEngine:
             else int(self._seed_rng.integers(0, 2**63 - 1))
         )
         # The engine's shareable fill state as plain data, registered in the
-        # process-local context registry.  Inline and thread fills resolve it
-        # right back out of the registry; a process backend ships it to its
+        # process-local context registry.  Inline fills resolve it right
+        # back out of the registry; a process backend ships it to its
         # workers once via their initializer.  Registration is idempotent by
         # content, so many engines over one prior share one entry.
         if self.catalog.backing_kind == "mmap" and self.catalog.store_path:
@@ -601,8 +564,9 @@ class RecommendationEngine:
         self._topk_cache = LruCache(self.config.topk_cache_size)
         # Engine-level batch searcher for across-session search batching:
         # same construction as every session's own searcher (identical
-        # evaluator, predicates and bounded-work caps), so a ranked list it
-        # produces is the one the session would have computed itself.
+        # evaluator, predicates and bounded-work caps), so in the exact
+        # default configuration a ranked list it produces is the one the
+        # session would have computed itself (see _rank for capped walks).
         self.evaluator = PackageEvaluator(
             catalog, profile, elicitation.max_package_size
         )
@@ -611,9 +575,6 @@ class RecommendationEngine:
             predicates=predicates,
             beam_width=elicitation.search_beam_width,
             max_items_accessed=elicitation.search_items_cap,
-            carryover=(
-                CandidateCarryover() if self.config.search_carryover else None
-            ),
             catalog_predicate=catalog_predicate,
         )
         self.sessions = SessionManager(
@@ -650,7 +611,7 @@ class RecommendationEngine:
             self.warm_start(self.config.warm_start_first_clicks)
 
     def close_repository(self) -> None:
-        """Release the pool repository's shard backend (thread pool, if any)."""
+        """Release the pool repository's shard backend (worker processes, if any)."""
         close = getattr(self.pool_repository, "close", None)
         if close is not None:
             close()
@@ -891,8 +852,8 @@ class RecommendationEngine:
     def _record_fill_span(self, key: str, pool: SamplePool) -> None:
         """Reconstruct a finished fill as a child span of the open trace.
 
-        Fills execute wherever the shard backend put them — inline, a worker
-        thread, or a worker process — so they cannot open spans themselves;
+        Fills execute wherever the shard backend put them — inline or in a
+        worker process — so they cannot open spans themselves;
         the engine rebuilds the span from the stats the fill returned
         (``fill_seconds``, and ``fill_worker_pid`` for process fills).
         """
@@ -911,8 +872,8 @@ class RecommendationEngine:
         """Attach the batch searcher's last walk statistics to the open span.
 
         Covers the measurement the self-tuning roadmap item needs: rows vs
-        deduplicated rows (cross-pool dedup rate), items accessed by the
-        sorted-list walk, and how many carried candidates seeded it.
+        deduplicated rows (cross-pool dedup rate) and items accessed by the
+        sorted-list walk.
         """
         stats = self.batch_searcher.last_search_stats
         if stats:
@@ -1192,11 +1153,14 @@ class RecommendationEngine:
 
         Without ``use_batch_search`` each list is its session's own
         :meth:`PackageRecommender.current_top_k`.  The walk searches exactly
-        the rows ``current_top_k`` would and ranks them the same way, so
-        each list is the one the session would compute itself.
-        Carryover seeds each pool's queries from its session's pre-click key
-        and parks the candidates found under the pool key; seeds are
-        re-validated, so they only shorten the walk.
+        the rows ``current_top_k`` would and ranks them the same way, so for
+        exact searches (no ``search_beam_width`` or ``search_items_cap``, the
+        defaults) each list is the one the session would compute itself.
+        Bounded-work searches do not have that property: the walk shares its
+        candidates across every pool of the call, so a vector stopped by
+        ``search_items_cap`` ranks packages that other pools' vectors
+        discovered, and its list depends on which sessions it was batched
+        with (``recommend_many`` and serial ``recommend`` can differ).
         """
         if not self.config.elicitation.use_batch_search:
             return [entry.recommender.current_top_k() for entry in entries]
@@ -1208,8 +1172,6 @@ class RecommendationEngine:
         results = self.batch_searcher.search_pools(
             [pool.samples[indices] for pool, indices in zip(pools, rows)],
             k,
-            carry_in=[entry.carry_key for entry in entries],
-            carry_out=[entry.pool_key for entry in entries],
         )
         self._annotate_search()
         self.topk_batched_pools += len(entries)
@@ -1277,9 +1239,6 @@ class RecommendationEngine:
                 )
             clicked = presented[index]
         added = recommender.feedback(clicked)
-        # The click invalidates the session's pool key; remember the pre-click
-        # key so the next round's search can seed from its candidates.
-        entry.carry_key = entry.pool_key
         entry.feedback_events += 1
         entry.dirty = True
         self.feedback_events += 1
@@ -1780,16 +1739,6 @@ class RecommendationEngine:
             ),
             pools_built=self.pools_built,
             pools_partial_refilled=self.pools_partial_refilled,
-            candidates_carried=(
-                self.batch_searcher.carryover.candidates_carried
-                if self.batch_searcher.carryover is not None
-                else 0
-            ),
-            carryover=(
-                self.batch_searcher.carryover.as_dict()
-                if self.batch_searcher.carryover is not None
-                else {}
-            ),
         )
 
     def metrics_snapshot(self) -> dict:
@@ -1810,7 +1759,7 @@ class RecommendationEngine:
         """One tree consolidating every observability surface of the stack.
 
         ``engine`` is :meth:`stats` (EngineStats, which already folds in
-        adaptation, event-log, carryover and shard-repository describes),
+        adaptation, event-log and shard-repository describes),
         ``metrics`` is :meth:`metrics_snapshot`, ``telemetry`` describes
         the tracer/sampler, and every registered observable (the dispatcher
         registers itself as ``dispatcher``) appears under its own name.

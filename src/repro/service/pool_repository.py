@@ -18,8 +18,7 @@ partitions:
   fills for different shards are independent work items that a
   :class:`ShardBackend` can run in parallel.
 * :class:`ShardBackend` — where shard work executes:
-  :class:`InlineShardBackend` (sequential, zero overhead, the default),
-  :class:`ThreadShardBackend` (one pool of ``num_shards`` workers), or
+  :class:`InlineShardBackend` (sequential, zero overhead, the default) or
   :class:`ProcessShardBackend` (a persistent worker-process pool).  Shards
   describe fills as picklable :class:`~repro.sampling.fillspec.FillSpec`
   records rather than closures, which is what lets the process backend ship
@@ -33,7 +32,7 @@ partitions:
 draws from a sampler seeded by ``k`` (the engine's factory derives the RNG
 from its own seed plus the key), never from a shared stream.  Pool contents
 therefore depend only on the key — not on which shard filled it, in what
-order, on how many shards exist, or whether fills ran threaded or inline —
+order, on how many shards exist, or whether fills ran in a worker or inline —
 which is what makes 1-shard and 4-shard engines produce bit-identical
 recommendations (pinned by ``tests/test_pool_repository.py`` and
 ``benchmarks/test_bench_sharding.py``) and makes a snapshot's pool
@@ -52,7 +51,7 @@ import bisect
 import hashlib
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -77,7 +76,6 @@ __all__ = [
     "PoolShard",
     "ShardBackend",
     "InlineShardBackend",
-    "ThreadShardBackend",
     "ProcessShardBackend",
     "ShardedPoolRepository",
     "WarmStartPlanner",
@@ -89,13 +87,13 @@ __all__ = [
 #: The fill seam: ``factory(pool_key, constraints, count) -> FillSpec``.
 #: The factory runs engine-side (it folds the engine's seed root and
 #: context digest into the spec); the spec then resolves anywhere —
-#: inline, a shard thread, or a worker process — via the module-level
+#: inline or in a worker process — via the module-level
 #: :func:`~repro.sampling.fillspec.build_sampler`.
 FillSpecFactory = Callable[[str, ConstraintSet, int], FillSpec]
 
 #: Names accepted by :func:`build_shard_backend` (each optionally suffixed
 #: with a worker-count override, e.g. ``"process:4"``).
-SHARD_BACKEND_NAMES = ("inline", "thread", "process")
+SHARD_BACKEND_NAMES = ("inline", "process")
 
 
 def _hash64(text: str) -> int:
@@ -175,40 +173,6 @@ class InlineShardBackend(ShardBackend):
 
     def map(self, calls: Sequence[Callable[[], dict]]) -> List[dict]:
         return [call() for call in calls]
-
-
-class ThreadShardBackend(ShardBackend):
-    """Run shard work on a shared thread pool (one worker per shard).
-
-    Fills for different shards proceed concurrently; every fill builds its
-    own sampler (own RNG), so no sampler state is shared across threads and
-    results are identical to the inline backend.  On a multi-core host the
-    numpy-heavy block draws overlap; with one core this still bounds tail
-    latency (no shard waits behind another's Python-level fallback loop) but
-    cannot beat inline wall-clock.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be > 0 or None, got {max_workers}")
-        self.max_workers = max_workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def map(self, calls: Sequence[Callable[[], dict]]) -> List[dict]:
-        if len(calls) <= 1:  # nothing to overlap; skip the executor round-trip
-            return [call() for call in calls]
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="pool-shard"
-            )
-        return list(self._executor.map(lambda call: call(), calls))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
 
 # -------------------------------------------------------- process worker side
@@ -382,7 +346,7 @@ class ProcessShardBackend(ShardBackend):
 def parse_shard_backend(name: str) -> Tuple[str, Optional[int]]:
     """Split a backend name into ``(base, worker_override)``.
 
-    Accepts ``"inline"``, ``"thread"``, ``"process"``, each optionally
+    Accepts ``"inline"`` and ``"process"``, each optionally
     suffixed ``":N"`` to override the worker count (e.g. ``"process:4"``).
     Unknown names raise a ``ValueError`` that lists the valid backends.
     """
@@ -425,8 +389,6 @@ def build_shard_backend(
     )
     if base == "inline":
         return InlineShardBackend()
-    if base == "thread":
-        return ThreadShardBackend(max_workers=workers)
     return ProcessShardBackend(max_workers=workers)
 
 
@@ -519,9 +481,8 @@ class PoolShard:
         self.spec_factory = spec_factory
         self.fills = 0
         self.samples_filled = 0
-        # Telemetry instruments (resolved once per shard in attach_telemetry
-        # so record_fill — which runs on worker threads — pays no label
-        # lookup; the instruments themselves are thread-safe).
+        # Telemetry instruments, resolved once per shard in attach_telemetry
+        # so record_fill pays no label lookup per fill.
         self._fill_counter = None
         self._fill_samples = None
         self._fill_latency = None
@@ -616,8 +577,8 @@ class PoolShard:
     def record_fill(self, pool: SamplePool) -> None:
         """Count a completed fill against this shard's load statistics.
 
-        Thread-shard backends call this from worker threads, so the attached
-        telemetry instruments (if any) must be — and are — thread-safe.
+        Runs on the calling thread for every backend (process fills are
+        recorded engine-side once their results come back).
         """
         self.fills += 1
         self.samples_filled += pool.size

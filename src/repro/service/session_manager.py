@@ -46,12 +46,6 @@ class SessionEntry:
     rounds_served: int = 0
     feedback_events: int = 0
     dirty: bool = True
-    #: Pool key of the last round this session gave feedback on — the batch
-    #: searcher's carryover cache seeds the post-click search from the
-    #: candidates discovered under this key.  A pure hint: never persisted,
-    #: rebuilt organically after a swap-in, and always exact (carried
-    #: candidates are re-validated against the new pool's bounds).
-    carry_key: Optional[str] = None
     #: Whether the session's full history is reconstructable from the
     #: engine's event log.  Sessions imported from a snapshot blob (public
     #: ``restore``) carry history the log never saw and must keep writing

@@ -22,7 +22,7 @@ from repro.topk.package_search import (
     canonical_package_utilities,
     canonical_package_vectors,
 )
-from repro.topk.batch_search import BatchTopKPackageSearcher, CandidateCarryover
+from repro.topk.batch_search import BatchTopKPackageSearcher
 from repro.topk.bruteforce import brute_force_top_k_packages, enumerate_package_space
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "top_k_items",
     "TopKPackageSearcher",
     "BatchTopKPackageSearcher",
-    "CandidateCarryover",
     "PackageSearchResult",
     "canonical_package_utilities",
     "canonical_package_vectors",

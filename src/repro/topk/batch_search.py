@@ -23,17 +23,6 @@ work is shared and the per-candidate work is NumPy row-wise:
   types (sum/avg parts are affine in the number of pads r, min/max parts are
   constant for r ≥ 1), so one small loop over r = 1..φ replaces the
   per-candidate Python padding loop.
-* **Cross-round candidate carryover.**  With a :class:`CandidateCarryover`
-  attached, :meth:`BatchTopKPackageSearcher.search_pools` can seed a fresh
-  walk with the candidate packages a previous round materialised (``carry_in``)
-  and retain this round's candidates for the next (``carry_out``).  Seeds are
-  hints, not answers: each one is re-validated against the catalog, rebuilt
-  null-aware from the current feature matrix, and re-scored under the current
-  weight matrix, so its *true* utilities tighten η_lo from step one and its
-  growable states re-enter Q+ where the ordinary bound recomputation prunes
-  whatever the click invalidated.  Results are identical with or without
-  carryover; consecutive post-click searches just walk only the invalidated
-  frontier instead of restarting from scratch.
 * **Active-mask early termination.**  Per vector v the usual bounds are
   maintained: ``η_lo[v]`` is the k-th best utility among discovered
   reportable candidates, ``η_up[v]`` the best ``upper-exp`` bound over the
@@ -56,7 +45,6 @@ DESIGN.md ("Batched top-k search") for the data layout.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,103 +61,7 @@ from repro.topk.package_search import (
 )
 from repro.topk.sorted_lists import FilteredOrderSource, SortedItemLists
 
-__all__ = ["BatchTopKPackageSearcher", "CandidateCarryover"]
-
-
-class CandidateCarryover:
-    """Bounded LRU store of candidate packages carried across searches.
-
-    After a click, most of a session's sample pool survives (§3.4) and the
-    weight posterior moves only a little — so the candidate packages the
-    previous round's sorted-list walk materialised are excellent *seeds* for
-    the next round's walk: their true utilities initialise η_lo near its
-    final value and their aggregation states re-enter the expandable queue,
-    leaving only the click-invalidated frontier to be walked from scratch.
-
-    Entries are keyed by an opaque string (the serving layer uses the pool's
-    fingerprint key, giving per-session lineage through the engine's
-    ``carry_key`` tracking) and hold plain item-tuples, not search state:
-    every seed is re-validated against the current catalog and re-scored
-    under the current weight matrix before it influences anything, so a
-    carried candidate can only *speed up* a search, never change its result
-    (see :meth:`BatchTopKPackageSearcher.search_pools`).  A stale, evicted
-    or even corrupted entry therefore degrades to a slower exact search.
-
-    Seeds are not free: every carried candidate occupies a row of the shared
-    struct-of-arrays pool for the whole walk, so each per-round matrix
-    operation pays for it whether or not it helps.  The per-key cap bounds
-    that cost; harvests order the *reportable* packages (the union of every
-    vector's top-k — exactly the candidates whose true utilities tighten
-    η_lo) ahead of the remaining queue frontier, so truncation keeps the
-    valuable prefix.
-
-    Not thread-safe; callers serialise access (the engine's serving path is
-    synchronous per round, like its other caches).
-    """
-
-    def __init__(
-        self, capacity: int = 128, max_candidates_per_key: int = 256
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if max_candidates_per_key <= 0:
-            raise ValueError(
-                f"max_candidates_per_key must be > 0, got {max_candidates_per_key}"
-            )
-        self.capacity = capacity
-        self.max_candidates_per_key = max_candidates_per_key
-        self._entries: "OrderedDict[str, Tuple[Tuple[int, ...], ...]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        #: Total candidates injected as seeds into searches (post-validation).
-        self.candidates_carried = 0
-        #: Seeds dropped by validation (out-of-catalog items, oversized, ...).
-        self.candidates_invalidated = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def fetch(self, key: str) -> Tuple[Tuple[int, ...], ...]:
-        """The candidates stored under ``key`` (LRU-refreshing; () on miss)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return ()
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def store(self, key: str, candidates: Sequence[Tuple[int, ...]]) -> None:
-        """Retain ``candidates`` under ``key`` (truncated, LRU-evicting)."""
-        self._entries[key] = tuple(candidates[: self.max_candidates_per_key])
-        self._entries.move_to_end(key)
-        self.stores += 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def discard(self, key: str) -> bool:
-        """Drop ``key``'s entry if present; returns whether it existed."""
-        return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def as_dict(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "candidates_carried": self.candidates_carried,
-            "candidates_invalidated": self.candidates_invalidated,
-        }
+__all__ = ["BatchTopKPackageSearcher"]
 
 
 class _BatchState:
@@ -283,18 +175,10 @@ class BatchTopKPackageSearcher:
     max_items_accessed:
         Optional per-vector cap on items read from the sorted lists; a vector
         reaching the cap terminates with its best-so-far results.
-    carryover:
-        Optional :class:`CandidateCarryover` enabling cross-round candidate
-        reuse through the ``carry_in`` / ``carry_out`` arguments of
-        :meth:`search_pools`.  Carried candidates are seeds only — every one
-        is re-validated and re-scored before use — so results are identical
-        with or without a carryover cache; only the walk length changes.
     catalog_predicate:
         Optional item-eligibility predicate
         (:class:`repro.data.columnar.CatalogPredicate`) pushed down into
-        every cursor's sorted lists, exactly as in the sequential searcher;
-        carried-over seed candidates containing ineligible items are dropped
-        at validation.
+        every cursor's sorted lists, exactly as in the sequential searcher.
 
     Notes
     -----
@@ -311,12 +195,10 @@ class BatchTopKPackageSearcher:
         max_candidates: int = 200_000,
         beam_width: Optional[int] = None,
         max_items_accessed: Optional[int] = None,
-        carryover: Optional[CandidateCarryover] = None,
         catalog_predicate=None,
     ) -> None:
         self.evaluator = evaluator
         self.predicates = predicates
-        self.carryover = carryover
         if max_candidates <= 0:
             raise ValueError(f"max_candidates must be > 0, got {max_candidates}")
         self.max_candidates = max_candidates
@@ -346,9 +228,9 @@ class BatchTopKPackageSearcher:
             evaluator.catalog, self._eligible_mask
         )
         #: Summary of the most recent :meth:`_search_flat` call (row counts,
-        #: dedup rate, items accessed, carried seeds) — read by the engine's
-        #: telemetry layer to annotate ``search.topk`` spans.  ``None`` until
-        #: a search runs; plain data, never consulted by the search itself.
+        #: dedup rate, items accessed) — read by the engine's telemetry
+        #: layer to annotate ``search.topk`` spans.  ``None`` until a search
+        #: runs; plain data, never consulted by the search itself.
         self.last_search_stats: Optional[dict] = None
 
     # -------------------------------------------------------------- public API
@@ -366,15 +248,10 @@ class BatchTopKPackageSearcher:
         ``candidates_generated`` is the shared pool's distinct-candidate
         count, which every row of the batch reports.
         """
-        results, _harvest = self._search_flat(weights_matrix, k, seeds=None)
-        return results
+        return self._search_flat(weights_matrix, k)
 
     def search_pools(
-        self,
-        matrices: Sequence[np.ndarray],
-        k: int,
-        carry_in: Optional[Sequence[Optional[str]]] = None,
-        carry_out: Optional[Sequence[Optional[str]]] = None,
+        self, matrices: Sequence[np.ndarray], k: int
     ) -> List[List[PackageSearchResult]]:
         """Top-k packages for several weight matrices in one shared walk.
 
@@ -385,26 +262,18 @@ class BatchTopKPackageSearcher:
         of identical weight rows *across* pools (heterogeneous sessions still
         overlap heavily: MCMC pools repeat states, and sessions one click
         apart share most of their posterior mass).  Results come back split
-        per input matrix, in row order, and each row's result is the same as
-        :meth:`search_many` of its own matrix would return (per-vector
-        termination only depends on the vector's own bounds; a finite
-        ``beam_width`` pools the candidate budget over the whole batch, so
-        bounded-work runs may differ — the same caveat batching within one
-        pool already carries).
+        per input matrix, in row order.
 
-        ``carry_in`` / ``carry_out`` (one optional key per matrix, requires a
-        :class:`CandidateCarryover`) enable the cross-round fast path: the
-        candidates stored under every non-``None`` ``carry_in`` key seed the
-        shared walk (the walk is shared, so merged seeds are sound for every
-        pool in the batch), and the candidates this walk materialises are
-        stored under every non-``None`` ``carry_out`` key for the next round.
-        Seeding never changes results: each seed is validated against the
-        catalog, its aggregation state is rebuilt from the current feature
-        matrix (null-aware, like live expansion), its *true* utilities
-        initialise η_lo, and its still-growable states re-enter the
-        expandable queue where the per-round bound recomputation re-validates
-        them against the moved τs — so invalidated candidates are pruned
-        exactly as organically discovered ones are.
+        In the default exact configuration each row's result is the same as
+        :meth:`search_many` of its own matrix would return: per-vector
+        termination only depends on the vector's own bounds, and every
+        vector's top-k is the true top-k.  Bounded-work runs may differ,
+        because the walk shares its candidates across the whole batch — the
+        same caveat batching within one pool already carries.  A finite
+        ``beam_width`` pools the candidate budget over every matrix, and a
+        vector stopped by ``max_items_accessed`` reports its best among the
+        candidates the *whole* walk discovered, which includes extensions
+        other pools' vectors created.
         """
         mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in matrices]
         for matrix in mats:
@@ -415,39 +284,14 @@ class BatchTopKPackageSearcher:
                 )
         if not mats:
             return []
-        for name, keys in (("carry_in", carry_in), ("carry_out", carry_out)):
-            if keys is not None and len(keys) != len(mats):
-                raise ValueError(
-                    f"{name} must hold one key (or None) per matrix: "
-                    f"got {len(keys)} keys for {len(mats)} matrices"
-                )
-        seeds = self._gather_seeds(carry_in)
-        flat, harvest = self._search_flat(np.concatenate(mats, axis=0), k, seeds)
-        if self.carryover is not None and carry_out is not None and harvest:
-            for key in dict.fromkeys(key for key in carry_out if key is not None):
-                self.carryover.store(key, harvest)
+        flat = self._search_flat(np.concatenate(mats, axis=0), k)
         bounds = np.cumsum([0] + [m.shape[0] for m in mats])
         return [flat[bounds[i]:bounds[i + 1]] for i in range(len(mats))]
 
-    def _gather_seeds(
-        self, carry_in: Optional[Sequence[Optional[str]]]
-    ) -> List[Tuple[int, ...]]:
-        """Deterministically ordered union of the carried candidate tuples."""
-        if self.carryover is None or carry_in is None:
-            return []
-        merged: "dict" = {}
-        for key in dict.fromkeys(key for key in carry_in if key is not None):
-            for candidate in self.carryover.fetch(key):
-                merged.setdefault(candidate, None)
-        return list(merged)
-
     def _search_flat(
-        self,
-        weights_matrix: np.ndarray,
-        k: int,
-        seeds: Optional[Sequence[Tuple[int, ...]]],
-    ):
-        """(results, carry harvest) of one deduplicated batch search."""
+        self, weights_matrix: np.ndarray, k: int
+    ) -> List[PackageSearchResult]:
+        """Results of one deduplicated batch search, in row order."""
         matrix = np.atleast_2d(np.asarray(weights_matrix, dtype=float))
         if matrix.ndim != 2 or matrix.shape[1] != self.evaluator.num_features:
             raise ValueError(
@@ -457,9 +301,9 @@ class BatchTopKPackageSearcher:
         if k <= 0:
             raise ValueError(f"k must be > 0, got {k}")
         if matrix.shape[0] == 0:
-            return [], None
+            return []
         unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
-        unique_results, harvest = self._search_unique(unique, k, seeds)
+        unique_results = self._search_unique(unique, k)
         rows = int(matrix.shape[0])
         unique_rows = int(unique.shape[0])
         self.last_search_stats = {
@@ -469,19 +313,12 @@ class BatchTopKPackageSearcher:
             "items_accessed": int(
                 sum(result.items_accessed for result in unique_results)
             ),
-            "seeds": len(seeds) if seeds else 0,
         }
-        return [unique_results[j] for j in np.ravel(inverse)], harvest
+        return [unique_results[j] for j in np.ravel(inverse)]
 
     # ---------------------------------------------------------- orchestration
-    def _search_unique(
-        self,
-        W: np.ndarray,
-        k: int,
-        seeds: Optional[Sequence[Tuple[int, ...]]] = None,
-    ):
+    def _search_unique(self, W: np.ndarray, k: int) -> List[PackageSearchResult]:
         results: List[Optional[PackageSearchResult]] = [None] * W.shape[0]
-        harvest: Optional[List[Tuple[int, ...]]] = None
         zero_rows = [v for v in range(W.shape[0]) if not np.any(W[v])]
         nonzero_rows = [v for v in range(W.shape[0]) if np.any(W[v])]
         if zero_rows:
@@ -496,21 +333,14 @@ class BatchTopKPackageSearcher:
             for v in zero_rows:
                 results[v] = fallback.search(W[v], k)
         if nonzero_rows:
-            batch, harvest = self._run(W[nonzero_rows], k, seeds)
+            batch = self._run(W[nonzero_rows], k)
             for v, result in zip(nonzero_rows, batch):
                 results[v] = result
-        return results, harvest  # type: ignore[return-value]
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------- core search
-    def _run(
-        self,
-        W: np.ndarray,
-        k: int,
-        seeds: Optional[Sequence[Tuple[int, ...]]] = None,
-    ):
+    def _run(self, W: np.ndarray, k: int) -> List[PackageSearchResult]:
         state = _BatchState(self, W, k)
-        if seeds:
-            self._seed_candidates(state, seeds)
         while state.active.any():
             new_items = self._advance_cursors(state)
             if not state.active.any():
@@ -520,100 +350,7 @@ class BatchTopKPackageSearcher:
             self._prune_and_terminate(state)
             if len(state.discovered) > self.max_candidates:
                 break
-        return self._collect(state), self._harvest(state)
-
-    def _seed_candidates(
-        self, state: _BatchState, seeds: Sequence[Tuple[int, ...]]
-    ) -> None:
-        """Inject carried candidates into a fresh walk (exactness-preserving).
-
-        Each seed is re-materialised from the *current* catalog: aggregation
-        states are rebuilt null-aware (sum of non-null contributions, ±inf
-        sentinels when a feature saw no value — exactly like
-        :meth:`_expand_with_item` folding one item at a time), membership
-        slots are registered so live expansion cannot re-add a member item,
-        true utilities of the reportable seeds tighten η_lo immediately, and
-        still-growable seeds join the expandable queue where the end-of-round
-        bound recomputation re-validates them against the current τs.  Seeds
-        that no longer exist in the catalog (or exceed φ) are dropped —
-        carryover after catalog or configuration drift degrades to an
-        ordinary cold walk, never to a wrong answer.
-        """
-        catalog = self.evaluator.catalog
-        num_items = catalog.num_items
-        valid: List[Tuple[int, ...]] = []
-        dropped = 0
-        for seed in seeds:
-            candidate = tuple(sorted({int(i) for i in seed}))
-            if (
-                not candidate
-                or len(candidate) > state.phi
-                or candidate[0] < 0
-                or candidate[-1] >= num_items
-            ):
-                dropped += 1
-                continue
-            if self._eligible_mask is not None and not self._eligible_mask[
-                list(candidate)
-            ].all():
-                dropped += 1
-                continue
-            if candidate in state.discovered:
-                continue
-            state.discovered.add(candidate)
-            valid.append(candidate)
-        if self.carryover is not None:
-            self.carryover.candidates_invalidated += dropped
-            self.carryover.candidates_carried += len(valid)
-        if not valid:
-            return
-        m = self.evaluator.num_features
-        count = len(valid)
-        sums = np.zeros((count, m))
-        mins = np.full((count, m), np.inf)
-        maxs = np.full((count, m), -np.inf)
-        sizes = np.fromiter((len(t) for t in valid), dtype=int, count=count)
-        slots = np.full((count, state.phi), -1, dtype=np.int64)
-        for row, candidate in enumerate(valid):
-            values = catalog.features[list(candidate)]
-            null = np.isnan(values)
-            sums[row] = np.where(null, 0.0, values).sum(axis=0)
-            mins[row] = np.where(null, np.inf, values).min(axis=0)
-            maxs[row] = np.where(null, -np.inf, values).max(axis=0)
-            for position, item in enumerate(candidate):
-                slots[row, position] = state.slot_of.setdefault(
-                    item, len(state.slot_of)
-                )
-        reportable = np.array([self._reportable(t) for t in valid])
-        if reportable.any():
-            rows = np.flatnonzero(reportable)
-            state.reportable.extend(valid[i] for i in rows)
-            raw = self._raw_vectors(
-                state, sums[rows], mins[rows], maxs[rows], sizes[rows]
-            )
-            state.observe(raw @ state.Wn.T)
-        grow = np.flatnonzero(sizes < state.phi)
-        if grow.size:
-            state.append_queue(
-                [valid[i] for i in grow],
-                sums[grow], mins[grow], maxs[grow], sizes[grow], slots[grow],
-            )
-
-    def _harvest(self, state: _BatchState) -> List[Tuple[int, ...]]:
-        """The candidates worth carrying out of a finished walk.
-
-        Discovered reportable candidates first (they include every vector's
-        winners — the η_lo seeds that matter most next round), then the
-        surviving expandable frontier (growable prefixes whose bounds still
-        held at termination); deduplicated, order-deterministic.  Truncation
-        to the carryover's per-key cap happens at store time.
-        """
-        merged: "dict" = {}
-        for candidate in state.reportable:
-            merged.setdefault(candidate, None)
-        for candidate in state.q_items[1:]:
-            merged.setdefault(candidate, None)
-        return list(merged)
+        return self._collect(state)
 
     def _advance_cursors(self, state: _BatchState) -> Dict[int, List[int]]:
         """Read one new item per active vector; returns item -> accessing vectors."""

@@ -1,17 +1,18 @@
 """Randomized equivalence suite for the incremental serving fast path.
 
-The fused fast path has two halves, each with its own exactness contract:
+Three contracts, each pinned across random trajectories:
 
-* **Cross-round candidate carryover** (``EngineConfig.search_carryover``)
-  must be *invisible*: carried candidates are hints that get re-scored and
-  re-bounded, so an engine with the carryover cache serves rounds
-  bit-identical to one without it, on every trajectory.
 * **ESS-deficit partial refill** (``EngineConfig.partial_refill``) changes
   pool *content* (reweighted survivors + a deficit fill instead of a
   maintained/fresh build), so its contract is *determinism*, pinned on every
   axis the repo already guarantees for fresh builds: re-running the same
   trajectory, changing the shard count, swapping sessions out through the
   event log, and replaying a restart all serve the same bytes.
+* **Batched search** (``recommend_many``'s one walk across sessions) serves
+  the same rounds as serial ``recommend`` on exact searches.
+* **Swap-out** never changes a round, even under ``search_items_cap``: a
+  round depends on the session's history, not on whether the session stayed
+  in memory between rounds.
 
 Each trial draws a full scenario — catalog, ψ, session seeds, ``k`` and a
 click path — from one trial seed, runs multi-round trajectories across
@@ -32,6 +33,7 @@ from repro.core.items import ItemCatalog
 from repro.core.profiles import AggregateProfile
 from repro.service.engine import EngineConfig, RecommendationEngine
 from repro.service.eventlog import EventLogStore
+from repro.service.store import MemorySessionStore
 
 PROFILE = AggregateProfile(["sum", "avg", "max"])
 
@@ -40,11 +42,14 @@ PROFILE = AggregateProfile(["sum", "avg", "max"])
 class Scenario:
     """Everything one trial needs, derived deterministically from its seed."""
 
-    def __init__(self, trial_seed, num_sessions=2, num_rounds=3):
+    def __init__(
+        self, trial_seed, num_sessions=2, num_rounds=3, search_items_cap=None
+    ):
         rng = np.random.default_rng(trial_seed)
         self.trial_seed = trial_seed
         self.num_sessions = num_sessions
         self.num_rounds = num_rounds
+        self.search_items_cap = search_items_cap
         num_items = int(rng.integers(18, 30))
         features = rng.random((num_items, 3))
         # A sprinkle of nulls so the null-aware bound path stays exercised.
@@ -64,11 +69,9 @@ class Scenario:
         ).tolist()
 
     def elicitation(self):
-        # Exact search settings (no beam or items-cap truncation): carryover's
-        # bit-identity contract holds for exact searches; under bounded-work
-        # truncation a carried search may legitimately return *better*
-        # packages than the truncated cold walk (see test_topk_batch.py's
-        # anytime-improvement test).
+        # Exact search by default (no beam or items-cap truncation): a capped
+        # walk shares candidates across the sessions searched together, so
+        # batched and serial serving legitimately differ under a cap.
         return ElicitationConfig(
             k=self.k,
             num_random=2,
@@ -77,7 +80,7 @@ class Scenario:
             sampler="mcmc",
             search_sample_budget=3,
             search_beam_width=None,
-            search_items_cap=None,
+            search_items_cap=self.search_items_cap,
             noise_psi=self.psi,
             seed=0,
         )
@@ -92,7 +95,8 @@ class Scenario:
         return (
             f"trial_seed={self.trial_seed} items={self.catalog.num_items} "
             f"psi={self.psi} k={self.k} engine_seed={self.engine_seed} "
-            f"session_seeds={self.session_seeds} clicks={self.clicks}"
+            f"session_seeds={self.session_seeds} clicks={self.clicks} "
+            f"search_items_cap={self.search_items_cap}"
         )
 
 
@@ -165,44 +169,45 @@ def assert_equivalent_trajectories(scenario, build_a, build_b, label_a, label_b)
     )
 
 
-# ------------------------------------------------- carryover must be invisible
+# ------------------------------------- cross-round result reuse is invisible
 @pytest.mark.parametrize("trial_seed", range(0, 60))
 def test_carryover_equivalence(trial_seed):
-    """Carryover on == carryover off, bit-identical, across random trajectories.
+    """Top-k cache on == off, bit-identical, across random trajectories.
 
-    Both sides share the pool policy (refill off on even trials, on for odd
-    ones) so the *only* difference is the candidate cache — the half of the
-    fused path whose contract is exactness.
+    The shared top-k result cache is the one place a ranked list carries
+    over from an earlier round: a later round on the same pool is answered
+    from it instead of a new walk.  With it off (``topk_cache_size=0``)
+    every session ranks its own pool on every round.  Both sides share the
+    pool policy (refill off on even trials, on for odd ones) so the *only*
+    difference is where the ranked list comes from.
     """
     scenario = Scenario(trial_seed)
     refill = dict(partial_refill=bool(trial_seed % 2))
     assert_equivalent_trajectories(
         scenario,
-        lambda: scenario.engine(search_carryover=True, **refill),
-        lambda: scenario.engine(search_carryover=False, **refill),
-        "carryover-on",
-        "carryover-off",
+        lambda: scenario.engine(**refill),
+        lambda: scenario.engine(topk_cache_size=0, **refill),
+        "topk-cache-on",
+        "topk-cache-off",
     )
 
 
+# ---------------------------------------------- batched search is invisible
 @pytest.mark.parametrize("trial_seed", range(60, 90))
-def test_carryover_equivalence_batched(trial_seed):
-    """recommend_many's across-session walk with carryover == serial without."""
+def test_batched_equivalence(trial_seed):
+    """recommend_many's across-session walk == serial recommend, exact search."""
     scenario = Scenario(trial_seed)
-    with_carry = run_trajectory(
+    batched = run_trajectory(
         scenario,
-        scenario.engine(search_carryover=True),
+        scenario.engine(),
         scenario.num_sessions,
         scenario.num_rounds,
         batched=True,
     )
-    without = run_trajectory(
-        scenario,
-        scenario.engine(search_carryover=False),
-        scenario.num_sessions,
-        scenario.num_rounds,
+    serial = run_trajectory(
+        scenario, scenario.engine(), scenario.num_sessions, scenario.num_rounds
     )
-    assert first_divergence(with_carry, without) is None, scenario.describe()
+    assert first_divergence(batched, serial) is None, scenario.describe()
 
 
 # ------------------------------------------------ partial refill is determined
@@ -259,6 +264,31 @@ def test_fused_swap_out_replay_equivalence(trial_seed, tmp_path):
     assert first_divergence(swapped, reference) is None, scenario.describe()
 
 
+@pytest.mark.parametrize("trial_seed", range(200, 224))
+def test_capped_swap_out_equivalence(trial_seed):
+    """Capped rounds do not depend on swap-out.
+
+    Under ``search_items_cap`` a search stops at its best-so-far candidates,
+    so any per-session search state kept in memory (and lost on swap-out)
+    would change what a swapped session is served.  One engine evicts a
+    session on every acquire and restores it from a snapshot; the other
+    keeps every session in memory.  Both serve each session serially, so
+    the batch composition of every walk is the same on both sides.
+    """
+    scenario = Scenario(
+        trial_seed, num_sessions=3, num_rounds=4, search_items_cap=4
+    )
+    assert_equivalent_trajectories(
+        scenario,
+        lambda: scenario.engine(
+            max_active_sessions=1, store=MemorySessionStore()
+        ),
+        lambda: scenario.engine(),
+        "swapped",
+        "in-memory",
+    )
+
+
 @pytest.mark.parametrize("trial_seed", range(185, 200))
 def test_fused_restart_replay_serves_identical_next_round(trial_seed, tmp_path):
     """A restarted engine replaying the log serves the same next round.
@@ -299,7 +329,6 @@ def test_pool_build_counters_sum_to_builds():
     for overrides in (
         {},
         {"partial_refill": True},
-        {"partial_refill": True, "search_carryover": False},
         {"maintain_on_miss": False, "partial_refill": True},
         {"warm_start_first_clicks": 1},
     ):
@@ -332,20 +361,12 @@ def test_pool_build_counters_sum_in_batched_path():
 
 
 def test_fused_engine_reports_incremental_counters():
-    """The fused path actually runs: candidates carried, pools refilled."""
+    """The fused path actually runs: pools are partially refilled."""
     scenario = Scenario(4244)
     engine = scenario.engine(partial_refill=True)
     run_trajectory(scenario, engine, 2, 3)
     stats = engine.stats()
-    assert stats.candidates_carried > 0
     assert stats.pools_partial_refilled > 0
-    assert stats.carryover["hits"] > 0
-    assert stats.as_dict()["candidates_carried"] == stats.candidates_carried
-    # Carryover disabled: counters stay zero and the dict stays empty.
-    plain = scenario.engine(search_carryover=False)
-    run_trajectory(scenario, plain, 2, 3)
-    assert plain.stats().candidates_carried == 0
-    assert plain.stats().carryover == {}
 
 
 def test_partial_refill_requires_a_noise_model():

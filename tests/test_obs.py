@@ -43,9 +43,9 @@ class TestCounter:
             counter.inc(-1)
 
     def test_concurrent_increments_from_threads(self):
-        """8 threads x 10k increments land exactly — the shard-fill contract.
+        """8 threads x 10k increments land exactly.
 
-        PoolShard.record_fill runs on thread-backend worker threads, so the
+        Instruments may be updated from several threads at once, so the
         counter's lock must make `inc` atomic; a torn read-modify-write
         would lose increments.
         """

@@ -3,14 +3,15 @@
 Exercises the tentpole end to end: span trees for per-session, batched, and
 process-shard requests (dispatcher admission → engine → pool fill → top-k
 search → event-log append), alarm counters + structured trace events for
-replay divergence and dispatcher shed/degrade, concurrent fill counters on
-the thread backend, the consolidated ``engine.observe()`` tree, and the
-guarantee that telemetry never changes what is served.
+replay divergence and dispatcher shed/degrade, per-shard fill counters, the
+consolidated ``engine.observe()`` tree, and the guarantee that telemetry
+never changes what is served.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -328,14 +329,10 @@ class TestAlarms:
 
 # =========================================================== metrics wiring
 class TestMetricsWiring:
-    def test_thread_backend_fill_counters(self, serving_catalog, serving_profile):
+    def test_sharded_fill_counters(self, serving_catalog, serving_profile):
         telemetry = traced_telemetry()
         engine = make_engine(
-            serving_catalog,
-            serving_profile,
-            telemetry,
-            pool_shards=4,
-            pool_shard_backend="thread",
+            serving_catalog, serving_profile, telemetry, pool_shards=4
         )
         ids = [engine.create_session(seed=100 + i) for i in range(6)]
         for _ in range(2):
@@ -370,6 +367,19 @@ class TestMetricsWiring:
         assert snap["repro_feedback_events"] == stats.feedback_events
         assert snap["repro_requests_total"] == {"api=recommend": 1.0}
         assert snap["repro_round_latency_seconds"]["count"] == 1
+
+    def test_stats_as_dict_is_a_copy_of_every_field(
+        self, serving_catalog, serving_profile
+    ):
+        engine = make_engine(serving_catalog, serving_profile, pool_shards=2)
+        engine.recommend(engine.create_session())
+        stats = engine.stats()
+        plain = stats.as_dict()
+        assert list(plain) == [f.name for f in dataclasses.fields(stats)]
+        plain["topk_cache"].clear()
+        plain["pool_repository"]["per_shard"][0]["fills"] = -1
+        assert stats.topk_cache == engine.stats().topk_cache
+        assert stats.pool_repository == engine.stats().pool_repository
 
     def test_observe_tree_consolidates_everything(
         self, serving_catalog, serving_profile

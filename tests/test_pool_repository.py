@@ -36,7 +36,6 @@ from repro.service import (
     ProcessShardBackend,
     RecommendationEngine,
     ShardedPoolRepository,
-    ThreadShardBackend,
     build_shard_backend,
     parse_shard_backend,
 )
@@ -218,19 +217,6 @@ class TestFills:
         for key in one:
             np.testing.assert_array_equal(one[key].samples, four[key].samples)
 
-    def test_thread_backend_matches_inline_results(self):
-        jobs = [
-            PoolFillJob(f"k{i}", self.CONSTRAINTS, 10) for i in range(8)
-        ]
-        inline = repo(backend=InlineShardBackend()).fill_many(jobs)
-        threaded_repo = repo(backend=ThreadShardBackend(max_workers=4))
-        threaded = threaded_repo.fill_many(jobs)
-        for key in inline:
-            np.testing.assert_array_equal(
-                inline[key].samples, threaded[key].samples
-            )
-        threaded_repo.close()
-
     def test_fill_many_groups_per_shard(self):
         repository = repo()
         jobs = [PoolFillJob(f"k{i}", self.CONSTRAINTS, 5) for i in range(20)]
@@ -260,9 +246,6 @@ class TestFills:
 class TestShardBackends:
     def test_build_by_name(self):
         assert build_shard_backend("inline", 4).name == "inline"
-        backend = build_shard_backend("thread", 4)
-        assert backend.name == "thread"
-        backend.close()
 
     def test_process_backend_by_name(self):
         backend = build_shard_backend("process", 4)
@@ -274,7 +257,7 @@ class TestShardBackends:
         backend = build_shard_backend("process:2", 8)
         assert backend.max_workers == 2
         backend.close()
-        backend = build_shard_backend("thread:3", 8)
+        backend = build_shard_backend("process:3", 8)
         assert backend.max_workers == 3
         backend.close()
         # an explicit argument outranks the suffix
@@ -283,8 +266,10 @@ class TestShardBackends:
         backend.close()
 
     def test_unknown_name_rejected_with_the_valid_list(self):
-        with pytest.raises(ValueError, match="inline.*thread.*process"):
+        with pytest.raises(ValueError, match="inline.*process"):
             build_shard_backend("gpu", 4)
+        with pytest.raises(ValueError, match="inline.*process"):
+            parse_shard_backend("thread")
         with pytest.raises(ValueError, match="worker-count"):
             build_shard_backend("process:zero", 4)
         with pytest.raises(ValueError, match="worker-count"):
@@ -294,19 +279,11 @@ class TestShardBackends:
         assert parse_shard_backend("inline") == ("inline", None)
         assert parse_shard_backend("process:6") == ("process", 6)
 
-    def test_thread_backend_single_call_runs_inline(self):
-        backend = ThreadShardBackend(max_workers=2)
-        assert backend.map([lambda: {"a": 1}]) == [{"a": 1}]
-        assert backend._executor is None  # no pool spun up for one call
-        backend.close()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardedPoolRepository(spec_factory=make_spec_factory(), num_shards=0)
         with pytest.raises(ValueError):
             ShardedPoolRepository(spec_factory=make_spec_factory(), capacity=-1)
-        with pytest.raises(ValueError):
-            ThreadShardBackend(max_workers=0)
         with pytest.raises(ValueError):
             ProcessShardBackend(max_workers=0)
         with pytest.raises(ValueError, match="required"):
@@ -487,15 +464,9 @@ class TestShardedEngineEquivalence:
     ):
         """Sharding changes where fills run, never what is served."""
         one = make_engine(serving_catalog, serving_profile, pool_shards=1)
-        four = make_engine(
-            serving_catalog,
-            serving_profile,
-            pool_shards=4,
-            pool_shard_backend="thread",
-        )
+        four = make_engine(serving_catalog, serving_profile, pool_shards=4)
         assert run_heterogeneous(one) == run_heterogeneous(four)
         assert four.stats().pool_repository["multi_shard_fill_batches"] >= 1
-        four.close_repository()
 
     def test_four_process_shards_bit_identical_to_inline(
         self, serving_catalog, serving_profile

@@ -365,7 +365,6 @@ class TestPoolSharing:
             {},
             {"pool_shards": 4},
             {"partial_refill": True, "refill_psi": 0.2},
-            {"search_carryover": False},
             {"topk_cache_size": 2},
             {"pool_cache_size": 1},
             {"pool_adaptation": AdaptationConfig()},
@@ -374,7 +373,6 @@ class TestPoolSharing:
             "default",
             "shards",
             "partial-refill",
-            "no-carryover",
             "tiny-topk-cache",
             "tiny-pool-cache",
             "adaptation",

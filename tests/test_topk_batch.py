@@ -26,7 +26,7 @@ from repro.core.items import ItemCatalog
 from repro.core.packages import PackageEvaluator
 from repro.core.predicates import MinCountPredicate, PredicateSet
 from repro.core.profiles import AggregateProfile
-from repro.topk.batch_search import BatchTopKPackageSearcher, CandidateCarryover
+from repro.topk.batch_search import BatchTopKPackageSearcher
 from repro.topk.bruteforce import brute_force_top_k_packages
 from repro.topk.package_search import TopKPackageSearcher
 
@@ -282,188 +282,3 @@ class TestNullSoundness:
             expected = [u for _, u in brute_force_top_k_packages(evaluator, weights[v], k)]
             assert np.allclose(sequential.search(weights[v], k).utilities, expected, atol=1e-9)
             assert np.allclose(batch_results[v].utilities, expected, atol=1e-9)
-
-
-class TestCandidateCarryover:
-    """The carryover cache itself: bounded LRU of candidate item-tuples."""
-
-    def test_store_fetch_lru_eviction(self):
-        cache = CandidateCarryover(capacity=2)
-        cache.store("a", [(0,), (1,)])
-        cache.store("b", [(2,)])
-        assert cache.fetch("a") == ((0,), (1,))  # refreshes "a"
-        cache.store("c", [(3,)])  # evicts "b" (least recently used)
-        assert "b" not in cache
-        assert cache.fetch("b") == ()
-        assert cache.fetch("a") == ((0,), (1,))
-        assert len(cache) == 2
-        stats = cache.as_dict()
-        assert stats["evictions"] == 1
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
-
-    def test_per_key_truncation_and_discard(self):
-        cache = CandidateCarryover(capacity=4, max_candidates_per_key=2)
-        cache.store("a", [(0,), (1,), (2,), (3,)])
-        assert cache.fetch("a") == ((0,), (1,))
-        assert cache.discard("a") is True
-        assert cache.discard("a") is False
-        cache.store("b", [(5,)])
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            CandidateCarryover(capacity=0)
-        with pytest.raises(ValueError, match="max_candidates_per_key"):
-            CandidateCarryover(max_candidates_per_key=0)
-
-
-class TestCarryoverEquivalence:
-    """Carried seeds must never change an exact search's results.
-
-    Every test compares a searcher with a carryover cache (fed by a prior
-    round's harvest) against a cold searcher on the same query; with exact
-    settings (no beam / items cap) the results must match outright — seeds
-    are re-validated and re-scored, so they only shorten the walk.
-    """
-
-    @pytest.mark.parametrize("seed", range(0, 40))
-    def test_carried_search_matches_cold_search(self, seed):
-        evaluator, weights, k = random_instance(seed)
-        rng = np.random.default_rng(seed + 10_000)
-        # Round 1 primes the cache; round 2 perturbs the weights (a "click"
-        # moves the posterior a little) and must match a cold search exactly.
-        perturbed = weights + rng.normal(0.0, 0.05, weights.shape)
-        carry = BatchTopKPackageSearcher(evaluator, carryover=CandidateCarryover())
-        cold = BatchTopKPackageSearcher(evaluator)
-        carry.search_pools([weights], k, carry_in=[None], carry_out=["r1"])
-        warm_results = carry.search_pools(
-            [perturbed], k, carry_in=["r1"], carry_out=["r2"]
-        )[0]
-        cold_results = cold.search_pools([perturbed], k)[0]
-        for warm, cold_result in zip(warm_results, cold_results):
-            assert_equivalent(cold_result, warm)
-
-    @pytest.mark.parametrize("seed", [0, 3, 9, 21, 30])
-    def test_null_catalog_seeds_stay_exact(self, seed):
-        # seed*3 -> random_instance sprinkles NaNs: carried seeds must rebuild
-        # their aggregation states null-aware (masked sums/mins/maxs).
-        evaluator, weights, k = random_instance(seed * 3)
-        carry = BatchTopKPackageSearcher(evaluator, carryover=CandidateCarryover())
-        cold = BatchTopKPackageSearcher(evaluator)
-        carry.search_pools([weights], k, carry_in=[None], carry_out=["r1"])
-        warm_results = carry.search_pools([weights], k, carry_in=["r1"])[0]
-        for warm, cold_result in zip(cold.search_pools([weights], k)[0], warm_results):
-            assert_equivalent(cold_result, warm)
-
-    def test_k_larger_than_feasible_with_seeds(self):
-        evaluator = PackageEvaluator(
-            ItemCatalog(np.array([[1.0, 0.5], [0.4, 0.2]])),
-            AggregateProfile(["sum", "sum"]),
-            2,
-        )
-        carry = BatchTopKPackageSearcher(evaluator, carryover=CandidateCarryover())
-        weights = np.array([[1.0, 1.0], [0.5, 2.0]])
-        carry.search_pools([weights], 50, carry_in=[None], carry_out=["r1"])
-        warm = carry.search_pools([weights], 50, carry_in=["r1"])[0]
-        cold = BatchTopKPackageSearcher(evaluator).search_pools([weights], 50)[0]
-        for w, c in zip(warm, cold):
-            assert [p.items for p in w.packages] == [p.items for p in c.packages]
-            assert len(w.packages) == 3  # {0}, {1}, {0,1}: all feasible packages
-            assert w.utilities == c.utilities
-
-    def test_all_candidates_invalidated_by_adversarial_shift(self):
-        # Prime with one weight orthant, then search its negation: every
-        # carried candidate is now deep below eta_lo and must be pruned
-        # without corrupting the (exact) result.
-        evaluator, weights, k = random_instance(7)
-        carry = BatchTopKPackageSearcher(evaluator, carryover=CandidateCarryover())
-        cold = BatchTopKPackageSearcher(evaluator)
-        carry.search_pools([weights], k, carry_in=[None], carry_out=["r1"])
-        flipped = -weights
-        warm_results = carry.search_pools([flipped], k, carry_in=["r1"])[0]
-        for warm, cold_result in zip(cold.search_pools([flipped], k)[0], warm_results):
-            assert_equivalent(cold_result, warm)
-
-    def test_corrupt_seeds_degrade_to_exact_search(self):
-        evaluator, weights, k = random_instance(11)
-        cache = CandidateCarryover()
-        num_items = evaluator.catalog.num_items
-        phi = evaluator.max_package_size
-        cache.store(
-            "bad",
-            [
-                (),  # empty
-                (num_items + 5,),  # out-of-catalog item
-                tuple(range(phi + 3)),  # oversized
-                (-1,),  # negative index
-                (0,),  # one genuinely valid seed
-            ],
-        )
-        carry = BatchTopKPackageSearcher(evaluator, carryover=cache)
-        warm_results = carry.search_pools([weights], k, carry_in=["bad"])[0]
-        cold_results = BatchTopKPackageSearcher(evaluator).search_pools(
-            [weights], k
-        )[0]
-        for warm, cold_result in zip(cold_results, warm_results):
-            assert_equivalent(cold_result, warm)
-        assert cache.candidates_invalidated == 4
-        assert cache.candidates_carried == 1
-
-    def test_evicted_entry_mid_session_degrades_to_miss(self):
-        # A capacity-1 cache with two interleaved sessions: each store evicts
-        # the other session's entry, so every carry_in is a miss — results
-        # must still be exact and the misses visible in the stats.
-        evaluator, weights, k = random_instance(13)
-        cache = CandidateCarryover(capacity=1)
-        carry = BatchTopKPackageSearcher(evaluator, carryover=cache)
-        cold = BatchTopKPackageSearcher(evaluator)
-        carry.search_pools([weights], k, carry_in=[None], carry_out=["s1-r1"])
-        carry.search_pools([weights * 0.5], k, carry_in=[None], carry_out=["s2-r1"])
-        assert "s1-r1" not in cache  # evicted by s2's store
-        warm_results = carry.search_pools([weights], k, carry_in=["s1-r1"])[0]
-        for warm, cold_result in zip(cold.search_pools([weights], k)[0], warm_results):
-            assert_equivalent(cold_result, warm)
-        assert cache.misses >= 1
-
-    def test_search_many_ignores_the_cache(self):
-        evaluator, weights, k = random_instance(17)
-        cache = CandidateCarryover()
-        carry = BatchTopKPackageSearcher(evaluator, carryover=cache)
-        carry.search_many(weights, k)
-        assert len(cache) == 0  # only search_pools with carry_out stores
-
-    def test_carry_list_length_validation(self):
-        evaluator, weights, k = random_instance(19)
-        carry = BatchTopKPackageSearcher(evaluator, carryover=CandidateCarryover())
-        with pytest.raises(ValueError, match="carry_in"):
-            carry.search_pools([weights], k, carry_in=["a", "b"])
-        with pytest.raises(ValueError, match="carry_out"):
-            carry.search_pools([weights], k, carry_out=[])
-
-    @pytest.mark.parametrize("seed", [2, 5, 8, 14])
-    def test_truncated_walks_carry_is_anytime_improvement(self, seed):
-        """Under an items cap, carried searches are never *worse*.
-
-        Bit-identity only holds for exact searches: a bounded-work walk that
-        hits ``max_items_accessed`` reports best-so-far, and seeding hands it
-        packages the truncated cold walk may never reach.  The guarantee that
-        remains — and that this test pins — is per-rank dominance: every
-        utility of the carried result is >= the cold result's at that rank,
-        because a seeded walk only prunes candidates provably below its own
-        k-th best.
-        """
-        evaluator, weights, k = random_instance(seed)
-        cap = max(2, evaluator.catalog.num_items // 2)
-        carry = BatchTopKPackageSearcher(
-            evaluator, max_items_accessed=cap, carryover=CandidateCarryover()
-        )
-        cold = BatchTopKPackageSearcher(evaluator, max_items_accessed=cap)
-        carry.search_pools([weights], k, carry_in=[None], carry_out=["r1"])
-        warm_results = carry.search_pools([weights], k, carry_in=["r1"])[0]
-        cold_results = cold.search_pools([weights], k)[0]
-        for warm, cold_result in zip(warm_results, cold_results):
-            assert len(warm.utilities) >= len(cold_result.utilities)
-            for warm_value, cold_value in zip(warm.utilities, cold_result.utilities):
-                assert warm_value >= cold_value

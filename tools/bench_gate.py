@@ -41,13 +41,11 @@ PINNED_FLOORS = {
     "service_shared_vs_per_session_speedup": 2.0,
     "topk_batch_vs_sequential_speedup": 5.0,
     "async_vs_serial_throughput_speedup": 3.0,
-    # Sharded pool service (PR 4): 4 thread-backed shards must serve rounds
+    # Sharded pool service: 4 inline shards must serve rounds
     # bit-identical to the unsharded engine (the indicator is the metric)...
     "sharding_equivalence": 1.0,
     # ...and fingerprint-reference snapshots must shrink the session store by
-    # at least 5x on the 50-session pool-sharing workload.  The per-shard
-    # parallel fill timing is recorded unpinned (single-core CI runners
-    # cannot overlap threads, so a wall-clock floor would be noise).
+    # at least 5x on the 50-session pool-sharing workload.
     "snapshot_compaction_ratio": 5.0,
     # Process shard backend (PR 8): 4 process-backed shards resolving
     # picklable FillSpecs in worker processes (distinct PIDs asserted by the
@@ -73,8 +71,8 @@ PINNED_FLOORS = {
     "eventlog_swap_out_speedup": 1.0,
     # Incremental serving fast path (PR 7): on the deep private-exploration
     # click stream, post-click rounds served through the fused path
-    # (candidate carryover + ESS-deficit partial refill) must be at least 2x
-    # faster than from-scratch rounds (measured ~4.4x — late-session
+    # (ESS-deficit partial refill) must be at least 2x faster than
+    # from-scratch rounds (measured ~5x — late-session
     # constraint sets make full refills expensive), and the refill
     # provisioning call alone must beat the hard-maintenance miss path it
     # replaces (measured ~1.6x).  Exactness is pinned separately by the
