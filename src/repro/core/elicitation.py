@@ -10,7 +10,7 @@
    store them in the preference DAG, and maintain the sample pool against the
    new constraints instead of resampling from scratch (§3.3–3.4);
 4. answer top-k package queries by running ``Top-k-Pkg`` for every weight
-   sample — batched through one shared sorted-list walk by default
+   sample — batched through one shared sorted-list walk
    (:class:`~repro.topk.batch_search.BatchTopKPackageSearcher`) — and
    aggregating under EXP / TKP / MPO (§4).
 
@@ -48,7 +48,7 @@ from repro.sampling.maintenance import (
 from repro.sampling.mcmc import MetropolisHastingsSampler
 from repro.sampling.rejection import RejectionSampler
 from repro.topk.batch_search import BatchTopKPackageSearcher
-from repro.topk.package_search import PackageSearchResult, TopKPackageSearcher
+from repro.topk.package_search import PackageSearchResult
 from repro.utils.rng import ensure_rng
 
 #: Sampler names accepted by :class:`ElicitationConfig`.
@@ -120,11 +120,11 @@ class ElicitationConfig:
         used).  ``None`` searches for every sample, exactly as §4 describes;
         a finite budget keeps interactive latency bounded for large pools.
     search_beam_width:
-        Per-sample beam width passed to the package searchers; ``None``
-        keeps the per-sample search exact.  On the batch path the queue is
-        shared, so the batch searcher pools the budget — ``beam_width ×
-        pool size`` candidates total; when that cap binds, batch results may
-        differ from sequential beam search (both are bounded-work anytime
+        Per-sample beam width passed to the package searcher; ``None``
+        keeps the per-sample search exact.  The batch searcher shares its
+        queue, so it pools the budget — ``beam_width × pool size``
+        candidates total; when that cap binds, results may differ from
+        per-sample sequential beam search (both are bounded-work anytime
         modes, not exact).
     search_items_cap:
         Cap on items accessed per search; ``None`` means no cap.  A capped
@@ -133,14 +133,6 @@ class ElicitationConfig:
         in a serving engine, all the pools) it searches together — so capped
         results depend on what was searched alongside, and batched serving
         may differ from serving each session alone.
-    use_batch_search:
-        Answer the per-sample top-k queries with the vectorised
-        :class:`~repro.topk.batch_search.BatchTopKPackageSearcher` (one
-        shared sorted-list walk for the whole pool) instead of N sequential
-        searches.  Results are identical to the sequential path in the exact
-        configuration (``search_beam_width=None``, ``search_items_cap=None``)
-        and may differ only when those bounded-work caps bind.  Disable to
-        fall back to per-sample :meth:`TopKPackageSearcher.search_many`.
     seed:
         Seed for all randomness inside the recommender.
     """
@@ -159,7 +151,6 @@ class ElicitationConfig:
     search_sample_budget: Optional[int] = None
     search_beam_width: Optional[int] = 2_000
     search_items_cap: Optional[int] = None
-    use_batch_search: bool = True
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -234,7 +225,7 @@ class PackageRecommender:
     catalog_predicate:
         Optional item-eligibility predicate
         (:class:`repro.data.columnar.CatalogPredicate`) pushed down into
-        both searchers' sorted-list walks and into random-package draws, so
+        the searcher's sorted-list walk and into random-package draws, so
         every presented package contains only eligible items.
     """
 
@@ -284,16 +275,8 @@ class PackageRecommender:
                 raise ValueError(
                     "catalog_predicate eliminates every item; nothing to recommend"
                 )
-        self.searcher = TopKPackageSearcher(
-            self.evaluator,
-            predicates=predicates,
-            beam_width=self.config.search_beam_width,
-            max_items_accessed=self.config.search_items_cap,
-            catalog_predicate=catalog_predicate,
-        )
         # The pool-wide top-k queries walk the sorted lists once for all
-        # samples; the sequential searcher above remains for single-vector
-        # queries and as the use_batch_search=False fallback.
+        # samples.
         self.batch_searcher = BatchTopKPackageSearcher(
             self.evaluator,
             predicates=predicates,
@@ -448,9 +431,7 @@ class PackageRecommender:
     ) -> List[PackageSearchResult]:
         if indices is None:
             indices = np.arange(pool.size)
-        if self.config.use_batch_search:
-            return self.batch_searcher.search_many(pool.samples[indices], k)
-        return self.searcher.search_many(pool.samples[indices], k)
+        return self.batch_searcher.search_many(pool.samples[indices], k)
 
     def recommend(
         self, recommended: Optional[List[Package]] = None

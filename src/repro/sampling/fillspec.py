@@ -233,9 +233,6 @@ class FillSpec:
         Digest of the :class:`FillContext` (prior) the fill samples from.
     noise_psi:
         The §7 feedback-noise parameter, or ``None`` for hard constraints.
-    block_size / max_blocks:
-        Candidate-block parameters of the ``"batch"`` sampler (ignored by
-        the per-set kinds).
     """
 
     key: str
@@ -246,8 +243,6 @@ class FillSpec:
     seed: int
     context_digest: str
     noise_psi: Optional[float] = None
-    block_size: int = 2048
-    max_blocks: int = 64
 
     def __post_init__(self) -> None:
         if self.count < 0:
@@ -279,8 +274,6 @@ class FillSpec:
         seed_root: int,
         context_digest: str,
         noise_psi: Optional[float] = None,
-        block_size: int = 2048,
-        max_blocks: int = 64,
     ) -> "FillSpec":
         """Build a spec from a live constraint set, deriving the seed."""
         return cls(
@@ -296,8 +289,6 @@ class FillSpec:
             seed=derive_fill_seed(seed_root, key),
             context_digest=context_digest,
             noise_psi=noise_psi,
-            block_size=int(block_size),
-            max_blocks=int(max_blocks),
         )
 
     def constraint_set(self) -> ConstraintSet:
@@ -316,11 +307,7 @@ def _build_batch(spec, prior, rng):
     from repro.sampling.batch import BatchRejectionSampler
 
     return BatchRejectionSampler(
-        prior,
-        rng=rng,
-        noise_probability=spec.noise_psi,
-        block_size=spec.block_size,
-        max_blocks=spec.max_blocks,
+        prior, rng=rng, noise_probability=spec.noise_psi
     )
 
 

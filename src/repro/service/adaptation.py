@@ -37,7 +37,6 @@ re-fills fresh, the documented miss path.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Tuple
@@ -45,11 +44,7 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.sampling.base import ConstraintSet, SamplePool
-from repro.sampling.reweight import (
-    importance_reweight,
-    pool_effective_sample_size,
-    residual_resample,
-)
+from repro.sampling.reweight import importance_reweight, pool_effective_sample_size
 
 __all__ = [
     "AdaptationConfig",
@@ -62,6 +57,10 @@ __all__ = [
 #: Canonical constraint rows: rounded direction tuples, the same normal form
 #: :meth:`ConstraintSet.fingerprint` hashes (order-free, −0.0 folded to +0.0).
 ConstraintRows = FrozenSet[Tuple[float, ...]]
+
+#: How many of the structurally nearest donor candidates are reweighted and
+#: ESS-scored per miss (each costs one ``(N, m) @ (m, c)`` pass).
+MAX_DONORS = 4
 
 
 @dataclass(frozen=True)
@@ -80,21 +79,13 @@ class AdaptationConfig:
         ESS floor as a fraction of the requested pool size: an adapted pool
         is served only when its Kish effective sample size is at least
         ``min_ess_fraction × count``; below it the caller samples fresh.
-    max_donors:
-        How many of the structurally nearest donor candidates are reweighted
-        and ESS-scored per miss (each costs one ``(N, m) @ (m, c)`` pass).
-    resample:
-        Residual-resample the adapted pool back to ``count`` uniform-weight
-        samples before serving (deterministic, seeded per pool key).  Off by
-        default: the serving stack scores weighted pools end to end, and
-        keeping the raw weights preserves the full ESS information.
     max_chain_depth:
         Adapted pools are stored under their keys and can later donate
         again.  Composed weights keep the accumulated imbalance visible to
-        the ESS gate, but a resampled adapted pool flattens its history and
-        every hop narrows support in ways no weight profile can show — so
-        donors that are themselves ``max_chain_depth`` adaptations deep are
-        refused and the miss falls back to maintenance / a fresh fill.
+        the ESS gate, but every hop narrows support in ways no weight
+        profile can show — so donors that are themselves
+        ``max_chain_depth`` adaptations deep are refused and the miss falls
+        back to maintenance / a fresh fill.
     index_capacity:
         Bound on the similarity index: registrations beyond it evict the
         least recently touched key (a long-lived engine sees unboundedly
@@ -104,8 +95,6 @@ class AdaptationConfig:
 
     psi: float = 0.9
     min_ess_fraction: float = 0.25
-    max_donors: int = 4
-    resample: bool = False
     max_chain_depth: int = 2
     index_capacity: int = 4_096
 
@@ -116,8 +105,6 @@ class AdaptationConfig:
             raise ValueError(
                 f"min_ess_fraction must be in (0, 1], got {self.min_ess_fraction}"
             )
-        if self.max_donors <= 0:
-            raise ValueError(f"max_donors must be > 0, got {self.max_donors}")
         if self.max_chain_depth <= 0:
             raise ValueError(
                 f"max_chain_depth must be > 0, got {self.max_chain_depth}"
@@ -279,7 +266,6 @@ class AdaptationStats:
     low_ess: int = 0
     chain_capped: int = 0
     prefix_donors: int = 0
-    resampled: int = 0
     ess_served_sum: float = 0.0
     samples_reused: int = 0
 
@@ -305,7 +291,6 @@ class AdaptationStats:
             "low_ess": self.low_ess,
             "chain_capped": self.chain_capped,
             "prefix_donors": self.prefix_donors,
-            "resampled": self.resampled,
             "samples_reused": self.samples_reused,
             "reuse_rate": round(self.reuse_rate, 4),
             "mean_served_ess": round(self.mean_served_ess, 2),
@@ -324,10 +309,6 @@ class PoolAdapter:
         The similarity index the engine registers pool keys into.
     config:
         Reweighting / gating parameters.
-    seed_root:
-        Root of the deterministic residual-resampling streams (the engine
-        passes its fill-seed root, so resampling — like repository fills —
-        depends only on the pool key).
     telemetry:
         Optional :class:`~repro.obs.Telemetry` facade; when set, ESS-gate
         rejections fire an ``adaptation_ess_rejected`` alarm (counter plus
@@ -339,13 +320,11 @@ class PoolAdapter:
         repository,
         index: ConstraintSimilarityIndex,
         config: Optional[AdaptationConfig] = None,
-        seed_root: int = 0,
         telemetry=None,
     ) -> None:
         self.repository = repository
         self.index = index
         self.config = config if config is not None else AdaptationConfig()
-        self.seed_root = int(seed_root)
         self.stats = AdaptationStats()
         self.telemetry = telemetry
 
@@ -355,7 +334,7 @@ class PoolAdapter:
     ) -> Optional[SamplePool]:
         """An adapted pool for ``(constraints, count)``, or ``None`` to fill fresh.
 
-        Reweights up to ``config.max_donors`` of the structurally nearest
+        Reweights up to :data:`MAX_DONORS` of the structurally nearest
         live donor pools and serves the one with the highest effective sample
         size, provided it clears ``min_ess_fraction × count``.  The returned
         pool is a new object (donor pools stay untouched in the repository),
@@ -366,7 +345,7 @@ class PoolAdapter:
         keys = getattr(self.repository, "keys", None)
         live_keys = [k for k in (keys() if keys is not None else []) if k != key]
         candidates = self.index.candidates(
-            constraints, count, live_keys, config.max_donors
+            constraints, count, live_keys, MAX_DONORS
         )
         best: Optional[SamplePool] = None
         best_ess = -1.0
@@ -417,18 +396,8 @@ class PoolAdapter:
                 "adaptation_depth": best_depth,
             }
         )
-        if config.resample:
-            best = residual_resample(best, count, self._resample_rng(key))
-            self.stats.resampled += 1
         self.stats.adapted += 1
         self.stats.prefix_donors += int(best_candidate.is_prefix)
         self.stats.ess_served_sum += best_ess
         self.stats.samples_reused += best.size
         return best
-
-    def _resample_rng(self, key: str) -> np.random.Generator:
-        """A resampling stream derived from (seed root, pool key) only."""
-        digest = hashlib.blake2b(
-            f"pool-adapt:{self.seed_root}:{key}".encode(), digest_size=16
-        ).digest()
-        return np.random.default_rng(int.from_bytes(digest, "big"))

@@ -24,8 +24,7 @@ DAG, counters, RNG); the expensive artifacts are shared across sessions:
   :class:`~repro.topk.batch_search.BatchTopKPackageSearcher`: one shared
   sorted-list walk over the searched samples of every missing pool instead
   of one Python search per weight sample.
-* **Warm starts** — :meth:`warm_start` (or
-  ``EngineConfig.warm_start_first_clicks``) precomputes and pins the
+* **Warm starts** — :meth:`warm_start` precomputes and pins the
   empty-prefix pool and the top-K first-click pools via
   :class:`~repro.service.pool_repository.WarmStartPlanner`, so cold sessions
   never sample.
@@ -158,6 +157,11 @@ SUPPORTED_SNAPSHOT_VERSIONS = (1, 2)
 #: :class:`~repro.service.eventlog.EventLogStore` emits).
 SUPPORTED_REPLAY_VERSIONS = (1,)
 
+#: Merged partial-refill pools larger than this multiple of the pool size
+#: are residual-resampled back down to the pool size (deterministically, by
+#: pool key) to bound memory.
+REFILL_MAX_POOL_MULTIPLE = 2.0
+
 
 def pool_key(constraints: ConstraintSet, count: int) -> str:
     """The repository key of the ``count``-sample pool for ``constraints``."""
@@ -210,15 +214,12 @@ class EngineConfig:
         Capacity of the shared top-k result cache.  With this and
         ``pool_cache_size`` both positive, the engine answers each
         session's ranked list: from the cache, or — for every pool of a call
-        whose list is not cached — from one shared walk of its batch searcher
-        (``current_top_k`` of one of the pool's sessions when the elicitation
-        config disables ``use_batch_search``).  ``0``, or a disabled pool
-        cache, leaves every session to rank its own pool.
+        whose list is not cached — from one shared walk of its batch
+        searcher.  ``0``, or a disabled pool cache, leaves every session to
+        rank its own pool.
     use_batch_sampler:
         Fill pools with vectorised block rejection sampling (with per-set
         MCMC fallback) instead of the configured per-session sampler kind.
-    batch_block_size / batch_max_blocks:
-        Candidate-block parameters of the batch fill samplers.
     maintain_on_miss:
         On a pool-cache miss after feedback, keep the still-valid samples of
         the session's previous pool and only top up the deficit (§3.4) rather
@@ -254,15 +255,6 @@ class EngineConfig:
     refill_min_ess_fraction:
         Partial refill tops the reweighted survivors up until their Kish ESS
         reaches this fraction of ``num_samples`` (in ``(0, 1]``).
-    refill_max_pool_multiple:
-        Merged refill pools larger than this multiple of ``num_samples`` are
-        residual-resampled back down to ``num_samples`` (deterministically,
-        by pool key) to bound memory; must be ``>= 1``.
-    warm_start_first_clicks:
-        When not ``None``, run :meth:`RecommendationEngine.warm_start` at
-        construction: pin the empty-prefix pool plus the pools of the top
-        ``warm_start_first_clicks`` first-click choices (``0`` warms the
-        empty-prefix pool only).
     catalog_backing:
         ``"materialized"`` (default) serves from the catalog as constructed.
         ``"mmap"`` ensures the engine serves from a memory-mapped columnar
@@ -286,15 +278,11 @@ class EngineConfig:
     pool_shard_backend: str = "inline"
     topk_cache_size: int = 2_048
     use_batch_sampler: bool = True
-    batch_block_size: int = 2_048
-    batch_max_blocks: int = 64
     maintain_on_miss: bool = True
     pool_adaptation: Optional[AdaptationConfig] = None
     partial_refill: bool = False
     refill_psi: Optional[float] = None
     refill_min_ess_fraction: float = 0.5
-    refill_max_pool_multiple: float = 2.0
-    warm_start_first_clicks: Optional[int] = None
     catalog_backing: str = "materialized"
     seed: Optional[int] = 0
 
@@ -316,19 +304,6 @@ class EngineConfig:
         # override the worker count; unknown names raise here with the
         # valid list.
         parse_shard_backend(self.pool_shard_backend)
-        if (
-            self.warm_start_first_clicks is not None
-            and self.warm_start_first_clicks < 0
-        ):
-            raise ValueError(
-                f"warm_start_first_clicks must be >= 0 or None, "
-                f"got {self.warm_start_first_clicks}"
-            )
-        if self.warm_start_first_clicks is not None and self.pool_cache_size == 0:
-            raise ValueError(
-                "warm_start_first_clicks requires pool_cache_size > 0 "
-                "(warm pools are pinned in the pool repository)"
-            )
         if self.pool_adaptation is not None and self.pool_cache_size == 0:
             raise ValueError(
                 "pool_adaptation requires pool_cache_size > 0 "
@@ -338,11 +313,6 @@ class EngineConfig:
             raise ValueError(
                 f"refill_min_ess_fraction must be in (0, 1], "
                 f"got {self.refill_min_ess_fraction}"
-            )
-        if self.refill_max_pool_multiple < 1.0:
-            raise ValueError(
-                f"refill_max_pool_multiple must be >= 1, "
-                f"got {self.refill_max_pool_multiple}"
             )
         if self.refill_psi is not None and not 0.0 <= self.refill_psi <= 1.0:
             raise ValueError(
@@ -558,7 +528,6 @@ class RecommendationEngine:
                     capacity=self.config.pool_adaptation.index_capacity
                 ),
                 self.config.pool_adaptation,
-                seed_root=self._fill_seed_root,
                 telemetry=self.telemetry,
             )
         self._topk_cache = LruCache(self.config.topk_cache_size)
@@ -607,8 +576,6 @@ class RecommendationEngine:
         self._requests_total = registry.counter(
             "repro_requests_total", "Serving API calls", labels=("api",)
         )
-        if self.config.warm_start_first_clicks is not None:
-            self.warm_start(self.config.warm_start_first_clicks)
 
     def close_repository(self) -> None:
         """Release the pool repository's shard backend (worker processes, if any)."""
@@ -723,8 +690,6 @@ class RecommendationEngine:
             seed_root=self._fill_seed_root,
             context_digest=self._fill_context_digest,
             noise_psi=elicitation.noise_psi,
-            block_size=self.config.batch_block_size,
-            max_blocks=self.config.batch_max_blocks,
         )
 
     def _stamp_pool(self, pool: SamplePool) -> SamplePool:
@@ -931,7 +896,7 @@ class RecommendationEngine:
         pool = self._unit_mean_weights(surviving)
         if fresh is not None:
             pool = pool.concatenate(self._unit_mean_weights(fresh))
-        cap = int(np.ceil(self.config.refill_max_pool_multiple * count))
+        cap = int(np.ceil(REFILL_MAX_POOL_MULTIPLE * count))
         if pool.size > cap:
             pool = residual_resample(pool, count, rng=self._refill_rng(key))
         pool.stats["partial_refill"] = {
@@ -1151,19 +1116,16 @@ class RecommendationEngine:
     def _rank(self, entries: Sequence[SessionEntry], k: int) -> List[List[Package]]:
         """The ranked top-k list of each entry's pool, in one shared walk.
 
-        Without ``use_batch_search`` each list is its session's own
-        :meth:`PackageRecommender.current_top_k`.  The walk searches exactly
-        the rows ``current_top_k`` would and ranks them the same way, so for
-        exact searches (no ``search_beam_width`` or ``search_items_cap``, the
-        defaults) each list is the one the session would compute itself.
+        The walk searches exactly the rows ``current_top_k`` would and ranks
+        them the same way, so for exact searches (no ``search_beam_width`` or
+        ``search_items_cap``, the defaults) each list is the one the session
+        would compute itself.
         Bounded-work searches do not have that property: the walk shares its
         candidates across every pool of the call, so a vector stopped by
         ``search_items_cap`` ranks packages that other pools' vectors
         discovered, and its list depends on which sessions it was batched
         with (``recommend_many`` and serial ``recommend`` can differ).
         """
-        if not self.config.elicitation.use_batch_search:
-            return [entry.recommender.current_top_k() for entry in entries]
         pools = [entry.recommender.pending_pool for entry in entries]
         rows = [
             entry.recommender.search_sample_indices(pool)

@@ -103,17 +103,6 @@ class LruCache:
             self.stats.evictions += 1
         self._entries[key] = value
 
-    def record_miss(self) -> None:
-        """Count a miss decided outside the cache (honest-miss accounting).
-
-        Some consumers know an entry's provenance makes a lookup dishonest —
-        a value they computed themselves must count as the miss that paid
-        for it, not a hit.  They fetch via :meth:`peek` and record the miss
-        here, so the cache's own statistics stay the single source of truth
-        instead of call sites reaching into ``cache.stats`` directly.
-        """
-        self.stats.misses += 1
-
     def pop(self, key: Hashable) -> Optional[Any]:
         """Remove and return the cached value, or ``None`` if absent.
 

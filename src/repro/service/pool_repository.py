@@ -107,14 +107,13 @@ def _hash64(text: str) -> int:
 class PoolFillJob:
     """One pool build request: draw ``count`` samples valid under ``constraints``.
 
-    ``spec`` optionally carries a pre-built :class:`FillSpec` for the job;
-    when absent, the owning shard derives one from its ``spec_factory``.
+    The owning shard derives the job's :class:`FillSpec` from its
+    ``spec_factory``.
     """
 
     key: str
     constraints: ConstraintSet
     count: int
-    spec: Optional[FillSpec] = None
 
 
 #: One backend work item: the shard that owns the jobs, and its batch.
@@ -134,29 +133,10 @@ class ShardBackend(abc.ABC):
     telemetry = None
 
     @abc.abstractmethod
-    def map(self, calls: Sequence[Callable[[], dict]]) -> List[dict]:
-        """Run every zero-argument call and return their results in order."""
-
     def run_fill_batches(
         self, batches: Sequence[ShardFillBatch]
     ) -> Dict[str, SamplePool]:
-        """Run per-shard fill batches; returns ``{job.key: pool}`` merged.
-
-        The default implementation wraps each batch in a closure and runs it
-        through :meth:`map` — correct for any in-process backend.  Backends
-        that cross a process boundary override this to extract the picklable
-        :class:`FillSpec` from each job instead of shipping closures.
-        """
-        calls = [
-            # Bind per-iteration values as defaults: late-binding closures
-            # would all see the last batch.
-            lambda shard=shard, jobs=list(jobs): shard.fill_jobs(jobs)
-            for shard, jobs in batches
-        ]
-        results: Dict[str, SamplePool] = {}
-        for partial in self.map(calls):
-            results.update(partial)
-        return results
+        """Run per-shard fill batches; returns ``{job.key: pool}`` merged."""
 
     def close(self) -> None:
         """Release any execution resources (idempotent; default no-op)."""
@@ -171,8 +151,13 @@ class InlineShardBackend(ShardBackend):
 
     name = "inline"
 
-    def map(self, calls: Sequence[Callable[[], dict]]) -> List[dict]:
-        return [call() for call in calls]
+    def run_fill_batches(
+        self, batches: Sequence[ShardFillBatch]
+    ) -> Dict[str, SamplePool]:
+        results: Dict[str, SamplePool] = {}
+        for shard, jobs in batches:
+            results.update(shard.fill_jobs(jobs))
+        return results
 
 
 # -------------------------------------------------------- process worker side
@@ -246,13 +231,6 @@ class ProcessShardBackend(ShardBackend):
         self.batches_dispatched = 0
         self.worker_restarts = 0
         self.inline_fallbacks = 0
-
-    def map(self, calls: Sequence[Callable[[], dict]]) -> List[dict]:
-        raise NotImplementedError(
-            "ProcessShardBackend cannot run arbitrary closures: closures "
-            "capture live objects and cannot cross the process boundary; "
-            "fills go through run_fill_batches() as picklable FillSpecs"
-        )
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -373,23 +351,18 @@ def parse_shard_backend(name: str) -> Tuple[str, Optional[int]]:
     return base, workers
 
 
-def build_shard_backend(
-    name: str, num_shards: int, max_workers: Optional[int] = None
-) -> ShardBackend:
+def build_shard_backend(name: str, num_shards: int) -> ShardBackend:
     """A backend instance from its configured name.
 
-    Worker count precedence: an explicit ``max_workers`` argument, then a
-    ``":N"`` suffix in the name, then one worker per shard.
+    The worker count is the name's ``":N"`` suffix, else one worker per
+    shard.
     """
     base, override = parse_shard_backend(name)
-    workers = (
-        max_workers
-        if max_workers is not None
-        else (override if override is not None else num_shards)
-    )
     if base == "inline":
         return InlineShardBackend()
-    return ProcessShardBackend(max_workers=workers)
+    return ProcessShardBackend(
+        max_workers=override if override is not None else num_shards
+    )
 
 
 # ================================================================= interface
@@ -425,10 +398,6 @@ class PoolRepository(abc.ABC):
     @abc.abstractmethod
     def evict(self, key: str) -> bool:
         """Drop a pool (pinned or not); returns whether one existed."""
-
-    @abc.abstractmethod
-    def record_miss(self, key: str) -> None:
-        """Count a miss against ``key``'s shard without a lookup."""
 
     @abc.abstractmethod
     def fill_one(self, key: str, constraints: ConstraintSet, count: int) -> SamplePool:
@@ -565,13 +534,7 @@ class PoolShard:
 
     # ------------------------------------------------------------------ fills
     def spec_for(self, job: PoolFillJob) -> FillSpec:
-        """The picklable spec describing ``job``.
-
-        Precedence: a spec the job already carries, then the shard's
-        ``spec_factory``.
-        """
-        if job.spec is not None:
-            return job.spec
+        """The picklable spec describing ``job``, from the shard's ``spec_factory``."""
         return self.spec_factory(job.key, job.constraints, job.count)
 
     def record_fill(self, pool: SamplePool) -> None:
@@ -700,9 +663,6 @@ class ShardedPoolRepository(PoolRepository):
 
     def evict(self, key: str) -> bool:
         return self.shard_for(key).evict(key)
-
-    def record_miss(self, key: str) -> None:
-        self.shard_for(key).cache.stats.misses += 1
 
     def __contains__(self, key: str) -> bool:
         return key in self.shard_for(key)

@@ -61,44 +61,29 @@ class SessionStore(abc.ABC):
         """Ids of every stored snapshot (sorted)."""
 
     # ------------------------------------------------------------- pool table
-    # The pool-table methods are concrete with an in-memory default, so a
-    # SessionStore subclass written against the original four-method
-    # interface keeps instantiating and swapping out.  The default is
-    # NON-DURABLE (pools referenced by compact snapshots are re-derivable
-    # or re-sampled after a restart — the documented miss path); durable
-    # backends override all four.
-
-    def _fallback_pools(self) -> Dict[str, dict]:
-        pools = getattr(self, "_memory_pool_table", None)
-        if pools is None:
-            pools = {}
-            self._memory_pool_table = pools
-        return pools
-
+    @abc.abstractmethod
     def save_pool(self, pool_key: str, payload: dict) -> None:
         """Persist a shared pool payload under its repository key."""
-        self._fallback_pools()[pool_key] = json.loads(json.dumps(payload))
 
+    @abc.abstractmethod
     def load_pool(self, pool_key: str) -> Optional[dict]:
         """The stored pool payload, or ``None`` when the key is unknown."""
-        payload = self._fallback_pools().get(pool_key)
-        return json.loads(json.dumps(payload)) if payload is not None else None
 
+    @abc.abstractmethod
     def has_pool(self, pool_key: str) -> bool:
         """Whether a pool payload exists, without loading it.
 
-        Backends override this with a cheap existence probe (stat / SELECT 1)
-        — the engine calls it on every swap-out to deduplicate pool writes.
+        A cheap existence probe (stat / SELECT 1) — the engine calls it on
+        every swap-out to deduplicate pool writes.
         """
-        return self.load_pool(pool_key) is not None
 
+    @abc.abstractmethod
     def delete_pool(self, pool_key: str) -> bool:
         """Remove a pool payload; returns whether one existed."""
-        return self._fallback_pools().pop(pool_key, None) is not None
 
+    @abc.abstractmethod
     def list_pool_keys(self) -> List[str]:
         """Keys of every stored pool payload (sorted)."""
-        return sorted(self._fallback_pools())
 
     # --------------------------------------------------- pool-table collection
     @staticmethod

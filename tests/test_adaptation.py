@@ -80,7 +80,6 @@ class TestAdaptationConfig:
             {"psi": 1.1},
             {"min_ess_fraction": 0.0},
             {"min_ess_fraction": 1.5},
-            {"max_donors": 0},
         ],
     )
     def test_invalid_parameters_raise(self, kwargs):
@@ -188,9 +187,7 @@ class TestPoolAdapter:
     def _adapter(self, repository, index, **config_kwargs):
         config_kwargs.setdefault("psi", 0.9)
         config_kwargs.setdefault("min_ess_fraction", 0.25)
-        return PoolAdapter(
-            repository, index, AdaptationConfig(**config_kwargs), seed_root=5
-        )
+        return PoolAdapter(repository, index, AdaptationConfig(**config_kwargs))
 
     def _donor_setup(self, valid_fraction=1.0, count=40):
         """A donor pool for the half-plane x >= 0, target adds y >= 0."""
@@ -244,19 +241,6 @@ class TestPoolAdapter:
         adapter = self._adapter(repository, index)
         assert adapter.adapt("donor", target, count) is None
         assert adapter.stats.no_donor == 1
-
-    def test_resample_serves_uniform_weights_deterministically(self):
-        repository, index, target, count = self._donor_setup(valid_fraction=0.8)
-        adapter = self._adapter(repository, index, resample=True)
-        first = adapter.adapt("target-key", target, count)
-        again = self._adapter(repository, index, resample=True).adapt(
-            "target-key", target, count
-        )
-        assert first is not None and again is not None
-        assert first.size == count
-        np.testing.assert_array_equal(first.weights, np.ones(count))
-        assert first.samples.tobytes() == again.samples.tobytes()
-        assert adapter.stats.resampled == 1
 
     def test_donor_pool_in_repository_is_untouched(self):
         repository, index, target, count = self._donor_setup(valid_fraction=0.5)

@@ -201,11 +201,7 @@ def reference_fill_sampler(engine, key):
     elicitation = engine.config.elicitation
     if engine.config.use_batch_sampler:
         return BatchRejectionSampler(
-            engine.prior,
-            rng=rng,
-            noise_probability=elicitation.noise_psi,
-            block_size=engine.config.batch_block_size,
-            max_blocks=engine.config.batch_max_blocks,
+            engine.prior, rng=rng, noise_probability=elicitation.noise_psi
         )
     sampler_cls = {
         "rejection": RejectionSampler,

@@ -326,13 +326,15 @@ def test_fused_restart_replay_serves_identical_next_round(trial_seed, tmp_path):
 def test_pool_build_counters_sum_to_builds():
     """adapt + maintain + fill + partial always sum to pools_built."""
     scenario = Scenario(4242)
-    for overrides in (
-        {},
-        {"partial_refill": True},
-        {"maintain_on_miss": False, "partial_refill": True},
-        {"warm_start_first_clicks": 1},
+    for overrides, warm_first_clicks in (
+        ({}, None),
+        ({"partial_refill": True}, None),
+        ({"maintain_on_miss": False, "partial_refill": True}, None),
+        ({}, 1),
     ):
         engine = scenario.engine(**overrides)
+        if warm_first_clicks is not None:
+            engine.warm_start(warm_first_clicks)
         run_trajectory(scenario, engine, 2, 3)
         stats = engine.stats()
         total = (
@@ -379,8 +381,6 @@ def test_partial_refill_requires_a_noise_model():
 def test_refill_knob_validation():
     with pytest.raises(ValueError, match="refill_min_ess_fraction"):
         EngineConfig(refill_min_ess_fraction=0.0)
-    with pytest.raises(ValueError, match="refill_max_pool_multiple"):
-        EngineConfig(refill_max_pool_multiple=0.5)
     with pytest.raises(ValueError, match="refill_psi"):
         EngineConfig(refill_psi=1.5)
 

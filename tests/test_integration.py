@@ -94,8 +94,7 @@ class TestFullPipelineOnSyntheticData:
         round_ = recommender.recommend()
         recommender.feedback(round_.presented[0])
         pool = recommender.sample_pool()
-        for i in range(min(5, pool.size)):
-            weights = pool.samples[i]
-            searched = recommender.searcher.search(weights, 2)
+        searched = recommender.batch_searcher.search_many(pool.samples[:5], 2)
+        for weights, result in zip(pool.samples[:5], searched):
             brute = brute_force_top_k_packages(recommender.evaluator, weights, 2)
-            assert np.allclose(searched.utilities, [u for _, u in brute], atol=1e-9)
+            assert np.allclose(result.utilities, [u for _, u in brute], atol=1e-9)

@@ -26,7 +26,6 @@ from repro.obs import (
     Telemetry,
     Tracer,
 )
-from repro.service.pool_cache import LruCache
 
 
 # =================================================================== counters
@@ -326,16 +325,3 @@ class TestTelemetry:
         telemetry.register_observable("b", lambda: 2)
         telemetry.register_observable("a", lambda: 1)
         assert list(telemetry.observables()) == ["a", "b"]
-
-
-# ======================================================= honest-miss satellite
-class TestLruCacheRecordMiss:
-    def test_record_miss_counts_without_lookup(self):
-        cache = LruCache(maxsize=4)
-        cache.put("k", "v")
-        assert cache.peek("k") == "v"  # peek: no stats
-        assert cache.stats.misses == 0
-        cache.record_miss()
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 0
-        assert cache.stats.hit_rate == 0.0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker: run the docs' code and verify intra-repo links.
+"""Documentation checker: run the docs' code, verify intra-repo links and config tables.
 
-Two guarantees, enforced in CI (the ``docs`` job) and runnable locally:
+Three guarantees, enforced in CI (the ``docs`` job) and runnable locally:
 
 1. **Snippets execute.**  Every fenced ```` ```python ```` block in the
    checked documents is executed.  Blocks within one document share a single
@@ -17,6 +17,12 @@ Two guarantees, enforced in CI (the ``docs`` job) and runnable locally:
    (``[text](path)``, no scheme, not a bare ``#anchor``) must exist on disk,
    resolved against the document's directory (fragments are stripped).
 
+3. **The ``EngineConfig`` table names real fields.**  Every backticked name
+   in the first column of the ``EngineConfig`` knob table in ``docs/api.md``
+   must be a field of :class:`repro.service.engine.EngineConfig` (a row
+   like ``a`` / ``b`` names two fields), so a deleted option cannot linger
+   there.
+
 Usage::
 
     python tools/check_docs.py            # check the default document set
@@ -25,6 +31,7 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import os
 import re
@@ -43,6 +50,12 @@ SKIP_MARKER = "<!-- docs-check: skip -->"
 
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+BACKTICK_RE = re.compile(r"`([^`]+)`")
+
+#: The document holding the ``EngineConfig`` knob table, and the line the
+#: table follows.
+ENGINE_TABLE_DOCUMENT = os.path.join("docs", "api.md")
+ENGINE_TABLE_ANCHOR = "Key `EngineConfig` knobs"
 
 
 def extract_python_blocks(text):
@@ -120,6 +133,43 @@ def check_links(path, text, errors):
     return checked
 
 
+def engine_table_names(text):
+    """Backticked names in the first column of the ``EngineConfig`` table.
+
+    Returns ``None`` when the document has no such table.
+    """
+    lines = text.splitlines()
+    anchors = [i for i, line in enumerate(lines) if ENGINE_TABLE_ANCHOR in line]
+    if not anchors:
+        return None
+    names = []
+    in_table = False
+    for line in lines[anchors[0] + 1:]:
+        if line.startswith("|"):
+            in_table = True
+            names.extend(BACKTICK_RE.findall(line.split("|")[1]))
+        elif in_table:
+            break
+    return names if in_table else None
+
+
+def check_engine_table(path, text, errors):
+    from repro.service.engine import EngineConfig
+
+    names = engine_table_names(text)
+    if names is None:
+        errors.append(f"{path}: no table after {ENGINE_TABLE_ANCHOR!r}")
+        return 0
+    fields = {field.name for field in dataclasses.fields(EngineConfig)}
+    for name in names:
+        if name not in fields:
+            errors.append(
+                f"{path}: EngineConfig table names {name!r}, "
+                "which is not an EngineConfig field"
+            )
+    return len(names)
+
+
 def main(argv):
     os.chdir(REPO_ROOT)
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -138,7 +188,11 @@ def main(argv):
             text = handle.read()
         snippets = check_snippets(path, text, errors)
         links = check_links(path, text, errors)
-        print(f"{path}: {snippets} snippet(s) executed, {links} link(s) checked")
+        summary = f"{snippets} snippet(s) executed, {links} link(s) checked"
+        if os.path.normpath(path) == ENGINE_TABLE_DOCUMENT:
+            fields = check_engine_table(path, text, errors)
+            summary += f", {fields} EngineConfig field(s) checked"
+        print(f"{path}: {summary}")
 
     if errors:
         print("\n" + "\n".join(errors), file=sys.stderr)
