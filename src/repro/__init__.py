@@ -100,7 +100,6 @@ from repro.service import (
     ConstraintSimilarityIndex,
     FillSpec,
     PoolAdapter,
-    PoolUnavailableError,
     ProcessShardBackend,
     AsyncRecommendationServer,
     DispatcherClosedError,
@@ -113,7 +112,6 @@ from repro.service import (
     EventLogStore,
     JsonSessionStore,
     MemorySessionStore,
-    PoolRepository,
     ReplayDivergenceError,
     RetentionReport,
     mine_click_prefixes,
@@ -193,7 +191,6 @@ __all__ = [
     "AdaptationStats",
     "ConstraintSimilarityIndex",
     "PoolAdapter",
-    "PoolUnavailableError",
     "RecommendationEngine",
     "EngineConfig",
     "EngineStats",
@@ -202,7 +199,6 @@ __all__ = [
     "SessionExpiredError",
     "SamplePoolCache",
     "FillSpec",
-    "PoolRepository",
     "ProcessShardBackend",
     "ShardedPoolRepository",
     "WarmStartPlanner",

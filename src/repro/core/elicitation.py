@@ -362,7 +362,7 @@ class PackageRecommender:
 
         A serving engine uses this hook to source pools from a shared,
         fingerprint-partitioned repository
-        (:class:`~repro.service.pool_repository.PoolRepository`, keyed by the
+        (:class:`~repro.service.pool_repository.ShardedPoolRepository`, keyed by the
         constraint-set fingerprint) instead of sampling inside every session.
         The provider is called with ``(constraints, count, stale_pool)``
         where ``stale_pool`` is the pre-feedback pool, if any, that the

@@ -14,11 +14,11 @@ identical therefore share one pool and one top-k result, keyed by a canonical
   (``create_session`` / ``recommend`` / ``feedback`` / ``close``) over the
   shared pool repository, a shared top-k result cache, and batched sampling
   across pending sessions.
-* :class:`PoolRepository` / :class:`ShardedPoolRepository` — the
-  fingerprint-partitioned pool state layer: pool keys consistent-hash across
-  N shards, each owning its pools, LRU budget, pinned set and fill
-  construction, with fills grouped per shard and runnable in parallel via a
-  :class:`ShardBackend` (inline or worker processes).  Each fill is
+* :class:`ShardedPoolRepository` — the fingerprint-partitioned pool state
+  layer: pool keys consistent-hash across N shards, each owning its pools,
+  LRU budget, pinned set and fill construction, with fills grouped per
+  shard and runnable in parallel via a :class:`ShardBackend` (inline or
+  worker processes).  Each fill is
   described by a picklable :class:`~repro.sampling.fillspec.FillSpec` —
   plain data resolved by the module-level ``build_sampler`` — which is what
   lets :class:`ProcessShardBackend` ship fills across the process boundary
@@ -93,7 +93,6 @@ from repro.service.pool_repository import (
     InlineShardBackend,
     LogWarmStartReport,
     PoolFillJob,
-    PoolRepository,
     PoolShard,
     ProcessShardBackend,
     SHARD_BACKEND_NAMES,
@@ -114,7 +113,6 @@ from repro.service.session_manager import SessionEntry, SessionManager
 from repro.service.engine import (
     EngineConfig,
     EngineStats,
-    PoolUnavailableError,
     RecommendationEngine,
     SessionExpiredError,
     SessionNotFoundError,
@@ -127,7 +125,6 @@ __all__ = [
     "DonorCandidate",
     "NoiseModel",
     "PoolAdapter",
-    "PoolUnavailableError",
     "AsyncRecommendationServer",
     "DispatcherClosedError",
     "DispatcherOverloadedError",
@@ -141,7 +138,6 @@ __all__ = [
     "InlineShardBackend",
     "LogWarmStartReport",
     "PoolFillJob",
-    "PoolRepository",
     "PoolShard",
     "ProcessShardBackend",
     "SHARD_BACKEND_NAMES",

@@ -62,6 +62,13 @@ ConstraintRows = FrozenSet[Tuple[float, ...]]
 #: ESS-scored per miss (each costs one ``(N, m) @ (m, c)`` pass).
 MAX_DONORS = 4
 
+#: Adapted pools are stored under their keys and can later donate again.
+#: Composed weights keep the accumulated imbalance visible to the ESS gate,
+#: but every hop narrows support in ways no weight profile can show — so
+#: donors that are themselves this many adaptations deep are refused and the
+#: miss falls back to maintenance / a fresh fill.
+MAX_CHAIN_DEPTH = 2
+
 
 @dataclass(frozen=True)
 class AdaptationConfig:
@@ -79,24 +86,10 @@ class AdaptationConfig:
         ESS floor as a fraction of the requested pool size: an adapted pool
         is served only when its Kish effective sample size is at least
         ``min_ess_fraction × count``; below it the caller samples fresh.
-    max_chain_depth:
-        Adapted pools are stored under their keys and can later donate
-        again.  Composed weights keep the accumulated imbalance visible to
-        the ESS gate, but every hop narrows support in ways no weight
-        profile can show — so donors that are themselves
-        ``max_chain_depth`` adaptations deep are refused and the miss falls
-        back to maintenance / a fresh fill.
-    index_capacity:
-        Bound on the similarity index: registrations beyond it evict the
-        least recently touched key (a long-lived engine sees unboundedly
-        many distinct constraint sets, while useful donors are only ever
-        live repository keys — a bounded recency window covers them).
     """
 
     psi: float = 0.9
     min_ess_fraction: float = 0.25
-    max_chain_depth: int = 2
-    index_capacity: int = 4_096
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.psi <= 1.0:
@@ -104,14 +97,6 @@ class AdaptationConfig:
         if not 0.0 < self.min_ess_fraction <= 1.0:
             raise ValueError(
                 f"min_ess_fraction must be in (0, 1], got {self.min_ess_fraction}"
-            )
-        if self.max_chain_depth <= 0:
-            raise ValueError(
-                f"max_chain_depth must be > 0, got {self.max_chain_depth}"
-            )
-        if self.index_capacity <= 0:
-            raise ValueError(
-                f"index_capacity must be > 0, got {self.index_capacity}"
             )
 
 
@@ -147,7 +132,7 @@ class ConstraintSimilarityIndex:
     :meth:`ConstraintSet.fingerprint` is a one-way hash, so similarity between
     pool keys cannot be computed from the keys alone.  The engine registers
     every ``(key, constraints, count)`` triple it derives (pool provisioning,
-    degraded serving, warm start — they all funnel through one key helper),
+    warm start — they all funnel through one key helper),
     and the index stores the *canonical rows* of each set: direction tuples
     rounded exactly as the fingerprint rounds them, so two registrations that
     would collide to one fingerprint also collide to one row set here.
@@ -342,8 +327,7 @@ class PoolAdapter:
         """
         config = self.config
         self.stats.attempts += 1
-        keys = getattr(self.repository, "keys", None)
-        live_keys = [k for k in (keys() if keys is not None else []) if k != key]
+        live_keys = [k for k in self.repository.keys() if k != key]
         candidates = self.index.candidates(
             constraints, count, live_keys, MAX_DONORS
         )
@@ -358,9 +342,9 @@ class PoolAdapter:
                 continue
             # Adapted pools may donate onward, but only to a bounded depth:
             # each hop narrows support in ways the composed weight profile
-            # cannot fully show (see AdaptationConfig.max_chain_depth).
+            # cannot fully show (see MAX_CHAIN_DEPTH).
             donor_depth = int(donor.stats.get("adaptation_depth", 0))
-            if donor_depth >= config.max_chain_depth:
+            if donor_depth >= MAX_CHAIN_DEPTH:
                 chain_capped = True
                 continue
             adapted = importance_reweight(donor, constraints, config.psi)

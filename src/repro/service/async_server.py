@@ -60,13 +60,6 @@ class AsyncRecommendationServer:
         arriving while the window already holds this many requests raise
         :class:`~repro.service.dispatcher.DispatcherOverloadedError` instead
         of queueing unboundedly; ``None`` never sheds.
-    shed_mode:
-        Overload behaviour forwarded to the dispatcher: ``"reject"``
-        (default) sheds over-cap requests with
-        :class:`~repro.service.dispatcher.DispatcherOverloadedError`;
-        ``"degrade"`` first tries a cache-only serve through
-        :meth:`RecommendationEngine.recommend_cached` (no pool fill) and only
-        sheds the requests even that cannot answer.
     """
 
     def __init__(
@@ -75,7 +68,6 @@ class AsyncRecommendationServer:
         max_batch_size: int = 16,
         max_wait: float = 0.0,
         max_pending: Optional[int] = None,
-        shed_mode: str = "reject",
     ) -> None:
         self.engine = engine
         self.dispatcher = MicroBatchDispatcher(
@@ -83,7 +75,6 @@ class AsyncRecommendationServer:
             max_batch_size=max_batch_size,
             max_wait=max_wait,
             max_pending=max_pending,
-            shed_mode=shed_mode,
         )
 
     # -------------------------------------------------------------- lifecycle

@@ -34,12 +34,7 @@ Backpressure: ``max_pending`` caps how many requests the current window may
 hold; a submission beyond it fails fast with
 :class:`DispatcherOverloadedError` (counted as ``requests_shed``) instead of
 growing the queue, so overload surfaces at admission where a client can back
-off, not as unbounded latency.  With ``shed_mode="degrade"`` an overload
-request is first offered a *degraded* serve — the engine's
-``recommend_cached`` path, which answers from already-materialised pools
-only and refuses to fill — so sessions whose state is hot still get a round
-under overload (counted as ``requests_degraded``); only cache-missing
-requests are shed.
+off, not as unbounded latency.
 
 Graceful shutdown: :meth:`aclose` refuses new submissions, then drains —
 every request already admitted to the window is dispatched and resolved
@@ -53,18 +48,12 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.service.engine import PoolUnavailableError
-
 __all__ = [
     "DispatcherClosedError",
     "DispatcherOverloadedError",
     "DispatcherStats",
     "MicroBatchDispatcher",
-    "SHED_MODES",
 ]
-
-#: Overload behaviours accepted by :class:`MicroBatchDispatcher`.
-SHED_MODES = ("reject", "degrade")
 
 
 class DispatcherClosedError(RuntimeError):
@@ -77,7 +66,7 @@ class DispatcherOverloadedError(RuntimeError):
     Raised synchronously inside :meth:`MicroBatchDispatcher.submit`, before
     the request is admitted — the shed request never occupies a window slot
     and its session is never advanced, so the caller can safely retry (with
-    backoff) or degrade.
+    backoff).
     """
 
 
@@ -90,9 +79,7 @@ class DispatcherStats:
     requests_failed: int = 0
     requests_cancelled: int = 0
     requests_shed: int = 0
-    requests_degraded: int = 0
     batches_dispatched: int = 0
-    shard_grouped_batches: int = 0
     size_flushes: int = 0
     timer_flushes: int = 0
     drain_flushes: int = 0
@@ -113,9 +100,7 @@ class DispatcherStats:
             "requests_failed": self.requests_failed,
             "requests_cancelled": self.requests_cancelled,
             "requests_shed": self.requests_shed,
-            "requests_degraded": self.requests_degraded,
             "batches_dispatched": self.batches_dispatched,
-            "shard_grouped_batches": self.shard_grouped_batches,
             "size_flushes": self.size_flushes,
             "timer_flushes": self.timer_flushes,
             "drain_flushes": self.drain_flushes,
@@ -151,16 +136,6 @@ class MicroBatchDispatcher:
         flush otherwise empties the window first — and it is the safety
         valve that keeps admission bounded if dispatch ever becomes
         asynchronous (an executor, a process pool).
-    shed_mode:
-        What happens to a request that hits the ``max_pending`` cap:
-        ``"reject"`` (default) raises :class:`DispatcherOverloadedError`
-        immediately; ``"degrade"`` first tries the engine's
-        ``recommend_cached`` path — serve from the exact-match caches only,
-        with pool fills refused — and only rejects when that too cannot
-        answer (no cached pool, or an engine without the degraded surface).
-        Degraded serves bypass the window entirely (they are the pressure
-        *relief*, not more pressure) and are counted as
-        ``DispatcherStats.requests_degraded``.
     """
 
     def __init__(
@@ -169,7 +144,6 @@ class MicroBatchDispatcher:
         max_batch_size: int = 16,
         max_wait: float = 0.0,
         max_pending: Optional[int] = None,
-        shed_mode: str = "reject",
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be > 0, got {max_batch_size}")
@@ -179,15 +153,10 @@ class MicroBatchDispatcher:
             raise ValueError(
                 f"max_pending must be > 0 or None, got {max_pending}"
             )
-        if shed_mode not in SHED_MODES:
-            raise ValueError(
-                f"shed_mode must be one of {SHED_MODES}, got {shed_mode!r}"
-            )
         self.engine = engine
         self.max_batch_size = int(max_batch_size)
         self.max_wait = float(max_wait)
         self.max_pending = int(max_pending) if max_pending is not None else None
-        self.shed_mode = shed_mode
         self.stats = DispatcherStats()
         # Pending window entries: (session_id, future, admission perf-time).
         # The admission time becomes the backdated ``dispatcher.queue_wait``
@@ -196,8 +165,8 @@ class MicroBatchDispatcher:
         self._timer: Optional[asyncio.TimerHandle] = None
         self._closed = False
         # Borrow the engine's telemetry facade (duck-typed: stub engines in
-        # tests have none).  Sheds and degraded serves fire alarms through
-        # it, and the dispatcher's counters join ``engine.observe()``.
+        # tests have none).  Sheds fire alarms through it, and the
+        # dispatcher's counters join ``engine.observe()``.
         self.telemetry = getattr(engine, "telemetry", None)
         if self.telemetry is not None:
             self.telemetry.register_observable("dispatcher", self.stats.as_dict)
@@ -216,10 +185,6 @@ class MicroBatchDispatcher:
             self.max_pending is not None
             and len(self._pending) >= self.max_pending
         ):
-            if self.shed_mode == "degrade":
-                degraded = self._serve_degraded(session_id)
-                if degraded is not None:
-                    return degraded
             self.stats.requests_shed += 1
             if self.telemetry is not None:
                 self.telemetry.alarm(
@@ -240,27 +205,6 @@ class MicroBatchDispatcher:
         elif self._timer is None:
             self._timer = loop.call_later(self.max_wait, self._flush, "timer")
         return await future
-
-    def _serve_degraded(self, session_id: str):
-        """Try the cache-only serve for an overload request; ``None`` to shed.
-
-        Runs synchronously on the event loop — a degraded serve touches
-        cached pools only, so it costs one top-k aggregation at most.  Any
-        engine error other than "the pool is not cached" (unknown session,
-        expired session) propagates to the caller as its own failure rather
-        than masquerading as overload.
-        """
-        recommend_cached = getattr(self.engine, "recommend_cached", None)
-        if recommend_cached is None:
-            return None
-        try:
-            round_ = recommend_cached(session_id)
-        except PoolUnavailableError:
-            return None
-        self.stats.requests_degraded += 1
-        if self.telemetry is not None:
-            self.telemetry.alarm("dispatcher_degraded", session_id=session_id)
-        return round_
 
     @property
     def pending_requests(self) -> int:
@@ -319,7 +263,6 @@ class MicroBatchDispatcher:
         batch = live
         self.stats.batches_dispatched += 1
         self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        batch = self._group_by_shard(batch)
         session_ids = [session_id for session_id, _future, _admitted in batch]
         try:
             rounds = self.engine.recommend_many(session_ids)
@@ -341,34 +284,6 @@ class MicroBatchDispatcher:
             return
         for (_session_id, future, _admitted), round_ in zip(batch, rounds):
             self._resolve(future, round_)
-
-    def _group_by_shard(
-        self, batch: List[Tuple[str, asyncio.Future, float]]
-    ) -> List[Tuple[str, asyncio.Future, float]]:
-        """Order a window's requests by the shard that owns their next fill.
-
-        Engines with a sharded pool repository expose ``fill_shard_plan``:
-        which shard will fill each *pool-missing* session's next round.  The
-        window is stably sorted so those sessions arrive at
-        ``recommend_many`` contiguous per shard — one dispatch hands each
-        shard one already-grouped ``fill_many`` batch.  Sessions with live
-        pools (and engines without the surface) keep arrival order, and
-        fills are key-deterministic, so reordering never changes any served
-        round — only how evenly fill work lands across shard workers.
-        """
-        fill_shard_plan = getattr(self.engine, "fill_shard_plan", None)
-        if fill_shard_plan is None or len(batch) <= 1:
-            return batch
-        plan = fill_shard_plan(
-            [session_id for session_id, _future, _admitted in batch]
-        )
-        if len(set(plan.values())) <= 1:
-            return batch  # 0-1 shards involved: nothing to group
-        self.stats.shard_grouped_batches += 1
-        # Pool-missing sessions first, grouped by owning shard; everyone else
-        # (pool already live) after, in arrival order.  sort() is stable, so
-        # arrival order is preserved within every group.
-        return sorted(batch, key=lambda item: plan.get(item[0], float("inf")))
 
     def _resolve(self, future: asyncio.Future, round_) -> None:
         self.stats.requests_completed += 1

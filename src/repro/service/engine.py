@@ -6,7 +6,7 @@ DAG, counters, RNG); the expensive artifacts are shared across sessions:
 
 * **Sample pools** — keyed by the canonical fingerprint of the session's
   constraint set and owned by a fingerprint-partitioned
-  :class:`~repro.service.pool_repository.PoolRepository`: every pool lookup
+  :class:`~repro.service.pool_repository.ShardedPoolRepository`: every pool lookup
   routes by key to its owning shard, each shard has its own LRU budget and
   pinned (warm) set, and cache fills for different shards are independent
   work items the shard backend can run in parallel.  On a cache miss the
@@ -107,7 +107,6 @@ from repro.service.eventlog import (
 from repro.service.pool_cache import LruCache
 from repro.service.pool_repository import (
     PoolFillJob,
-    PoolRepository,
     ShardedPoolRepository,
     WarmStartPlanner,
     WarmStartReport,
@@ -127,22 +126,11 @@ from repro.utils.rng import ensure_rng
 __all__ = [
     "EngineConfig",
     "EngineStats",
-    "PoolUnavailableError",
     "RecommendationEngine",
     "SessionNotFoundError",
     "SessionExpiredError",
 ]
 
-
-class PoolUnavailableError(RuntimeError):
-    """Serving this round would require a pool fill (degraded mode refuses).
-
-    Raised by :meth:`RecommendationEngine.recommend_cached` when the
-    session's pool is neither materialised nor resolvable from the pool
-    repository by exact fingerprint match — the only paths that avoid
-    sampling.  The micro-batch dispatcher's ``shed_mode="degrade"`` catches
-    it and sheds the request instead.
-    """
 
 #: Snapshot schema version written by :meth:`RecommendationEngine.snapshot`.
 #: Version 2 added pool-by-reference payloads (``pool: {"key": ...}`` without
@@ -398,10 +386,6 @@ class RecommendationEngine:
         draws of every session see only eligible items.
     clock:
         Monotonic time source used for TTL/LRU bookkeeping (injectable).
-    pool_repository:
-        Optional externally built :class:`PoolRepository`; by default a
-        :class:`ShardedPoolRepository` is constructed from the config
-        (``pool_cache_size`` / ``pool_shards`` / ``pool_shard_backend``).
     telemetry:
         Optional :class:`~repro.obs.Telemetry` facade.  When given, the
         engine threads request traces through serving (dispatcher admission
@@ -419,7 +403,6 @@ class RecommendationEngine:
         store: Optional[SessionStore] = None,
         predicates: Optional[PredicateSet] = None,
         clock: Callable[[], float] = time.monotonic,
-        pool_repository: Optional[PoolRepository] = None,
         catalog_predicate=None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -500,20 +483,15 @@ class RecommendationEngine:
                 prior=PriorSpec.from_mixture(self.prior)
             )
         self._fill_context_digest = register_fill_context(self._fill_context)
-        if pool_repository is not None:
-            self.pool_repository = pool_repository
-        else:
-            self.pool_repository = ShardedPoolRepository(
-                spec_factory=self._fill_spec,
-                num_shards=self.config.pool_shards,
-                capacity=self.config.pool_cache_size,
-                backend=build_shard_backend(
-                    self.config.pool_shard_backend, self.config.pool_shards
-                ),
-            )
-        attach_telemetry = getattr(self.pool_repository, "attach_telemetry", None)
-        if attach_telemetry is not None:
-            attach_telemetry(self.telemetry)
+        self.pool_repository = ShardedPoolRepository(
+            spec_factory=self._fill_spec,
+            num_shards=self.config.pool_shards,
+            capacity=self.config.pool_cache_size,
+            backend=build_shard_backend(
+                self.config.pool_shard_backend, self.config.pool_shards
+            ),
+        )
+        self.pool_repository.attach_telemetry(self.telemetry)
         if self.event_log is not None:
             self.event_log.attach_telemetry(self.telemetry)
         # Approximate pool reuse (optional): the adapter serves repository
@@ -524,9 +502,7 @@ class RecommendationEngine:
         if self.config.pool_adaptation is not None:
             self.pool_adapter = PoolAdapter(
                 self.pool_repository,
-                ConstraintSimilarityIndex(
-                    capacity=self.config.pool_adaptation.index_capacity
-                ),
+                ConstraintSimilarityIndex(),
                 self.config.pool_adaptation,
                 telemetry=self.telemetry,
             )
@@ -579,9 +555,7 @@ class RecommendationEngine:
 
     def close_repository(self) -> None:
         """Release the pool repository's shard backend (worker processes, if any)."""
-        close = getattr(self.pool_repository, "close", None)
-        if close is not None:
-            close()
+        self.pool_repository.close()
 
     # =============================================================== lifecycle
     def create_session(
@@ -1010,36 +984,6 @@ class RecommendationEngine:
         ):
             return self._serve(session_ids)
 
-    def recommend_cached(self, session_id: str) -> RecommendationRound:
-        """Serve one round from already-materialised state only (no pool fill).
-
-        The degraded-mode serving path: if the session's pool is pending and
-        its exact fingerprint key is not live in the pool repository — i.e.
-        serving would trigger a sampling fill — raise
-        :class:`PoolUnavailableError` instead of paying for it.  Top-k search
-        over an available pool still runs (it is the ordinary serve cost);
-        only *sampling* is refused.
-        """
-        entry = self._acquire(session_id)
-        recommender = entry.recommender
-        if recommender.pending_pool is None:
-            if not self.config.sharing_enabled or self.config.pool_cache_size == 0:
-                raise PoolUnavailableError(
-                    f"session {session_id!r} has no materialised pool and no "
-                    f"shared repository to resolve one from"
-                )
-            key = self._pool_key(
-                recommender.constraints, recommender.config.num_samples
-            )
-            if key not in self.pool_repository:
-                raise PoolUnavailableError(
-                    f"pool {key!r} for session {session_id!r} is not cached; "
-                    f"serving it would require a fill"
-                )
-        self._requests_total.labels(api="recommend_cached").inc()
-        with self.telemetry.span("engine.recommend_cached", session_id=session_id):
-            return self._serve([session_id])[0]
-
     def _serve(self, session_ids: Sequence[str]) -> List[RecommendationRound]:
         """The serve pipeline: acquire → provision → search → serve and log."""
         try:
@@ -1221,27 +1165,23 @@ class RecommendationEngine:
         return self._topk_key_for(entry.pool_key, pool, entry.recommender.config)
 
     def fill_shard_plan(self, session_ids: Sequence[str]) -> Dict[str, int]:
-        """Which shard owns each session's next pool fill, for dispatch grouping.
+        """Which shard owns each session's next pool fill.
 
         Returns ``{session_id: shard_index}`` for every *pool-missing*
         session in ``session_ids``: its next round's pool key is absent from
         the repository, so serving it will trigger a fill on the owning
-        shard.  Sessions whose pool is already live (or pending), sessions
-        not in memory (swapped out — planning must not force a restore), and
-        repositories without shard routing are simply omitted.  A
-        single-shard repository (the default) has nothing to group, so its
-        plan is always empty.
+        shard.  Sessions whose pool is already live (or pending) and
+        sessions not in memory (swapped out — planning must not force a
+        restore) are omitted.  A single-shard repository (the default) has
+        nothing to group, so its plan is always empty.
 
-        Purely advisory and side-effect free on session state: the
-        micro-batch dispatcher uses it to order each window by owning shard
-        so one ``recommend_many`` hands each shard a contiguous, already
-        grouped ``fill_many`` batch.  Fills are key-deterministic, so any
-        ordering serves bit-identical rounds — this only changes how evenly
-        the fill work lands across shard workers.
+        Purely advisory and side-effect free on session state; serving does
+        not consult it, because
+        :meth:`~repro.service.pool_repository.ShardedPoolRepository.fill_many`
+        groups each batch of fills by shard whatever order it arrives in.
         """
         plan: Dict[str, int] = {}
-        shard_for = getattr(self.pool_repository, "shard_for", None)
-        if shard_for is None or len(self.pool_repository.shards) <= 1:
+        if len(self.pool_repository.shards) <= 1:
             return plan
         for session_id in session_ids:
             entry = self.sessions.peek(session_id)
@@ -1253,7 +1193,7 @@ class RecommendationEngine:
             key = pool_key(recommender.constraints, recommender.config.num_samples)
             if key in self.pool_repository:
                 continue
-            plan[session_id] = shard_for(key).index
+            plan[session_id] = self.pool_repository.shard_for(key).index
         return plan
 
     # ======================================================= snapshot / restore
@@ -1672,7 +1612,6 @@ class RecommendationEngine:
         """Current serving counters (sessions, rounds, cache efficiency)."""
         pool_stats = self.pool_repository.stats.as_dict()
         pool_stats["samples_saved"] = self.pool_repository.samples_saved
-        describe = getattr(self.pool_repository, "describe", None)
         return EngineStats(
             sessions_created=self.sessions_created,
             sessions_active=len(self.sessions),
@@ -1688,7 +1627,7 @@ class RecommendationEngine:
             pools_warmed=self.pools_warmed,
             topk_batched_pools=self.topk_batched_pools,
             pool_cache=pool_stats,
-            pool_repository=describe() if describe is not None else {},
+            pool_repository=self.pool_repository.describe(),
             topk_cache=self._topk_cache.stats.as_dict(),
             adaptation=(
                 self.pool_adapter.stats.as_dict()

@@ -9,14 +9,13 @@ same move log-structured cloud stores make when they partition state by key
 to scale writes, and multi-petabyte designs make when they pin hot
 partitions:
 
-* :class:`PoolRepository` — the interface every layer that touches pools goes
-  through: ``get`` / ``put`` / ``pin`` / ``evict`` / ``fill`` keyed by the
-  engine's pool keys (``n<count>:<ConstraintSet.fingerprint()>``).
-* :class:`ShardedPoolRepository` — consistent-hashes keys across N
-  :class:`PoolShard` partitions.  Each shard owns its pools, its LRU budget,
-  its pinned (eviction-exempt) set, and its sampler construction, so cache
-  fills for different shards are independent work items that a
-  :class:`ShardBackend` can run in parallel.
+* :class:`ShardedPoolRepository` — the store every layer that touches pools
+  goes through: ``get`` / ``put`` / ``pin`` / ``evict`` / ``fill`` keyed by
+  the engine's pool keys (``n<count>:<ConstraintSet.fingerprint()>``),
+  consistent-hashed across N :class:`PoolShard` partitions.  Each shard owns
+  its pools, its LRU budget, its pinned (eviction-exempt) set, and its
+  sampler construction, so cache fills for different shards are independent
+  work items that a :class:`ShardBackend` can run in parallel.
 * :class:`ShardBackend` — where shard work executes:
   :class:`InlineShardBackend` (sequential, zero overhead, the default) or
   :class:`ProcessShardBackend` (a persistent worker-process pool).  Shards
@@ -72,7 +71,6 @@ from repro.service.pool_cache import CacheStats, SamplePoolCache
 __all__ = [
     "FillSpecFactory",
     "PoolFillJob",
-    "PoolRepository",
     "PoolShard",
     "ShardBackend",
     "InlineShardBackend",
@@ -365,69 +363,6 @@ def build_shard_backend(name: str, num_shards: int) -> ShardBackend:
     )
 
 
-# ================================================================= interface
-class PoolRepository(abc.ABC):
-    """Keyed storage *and* build service for shared sample pools.
-
-    Every layer of the serving stack that touches pools — the engine's
-    provisioning stage, snapshot restore, the warm-start planner — goes
-    through this interface, so pool placement (one dict, N shards, N
-    processes) is invisible above it.
-    """
-
-    @abc.abstractmethod
-    def get(self, key: str) -> Optional[SamplePool]:
-        """The pool for ``key`` (refreshing recency and hit statistics)."""
-
-    @abc.abstractmethod
-    def peek(self, key: str) -> Optional[SamplePool]:
-        """Like :meth:`get` but without touching hit/miss statistics."""
-
-    @abc.abstractmethod
-    def put(self, key: str, pool: SamplePool) -> None:
-        """Store (or refresh) a pool under ``key``."""
-
-    @abc.abstractmethod
-    def pin(self, key: str, pool: Optional[SamplePool] = None) -> None:
-        """Exempt ``key`` from eviction (inserting ``pool`` if given)."""
-
-    @abc.abstractmethod
-    def unpin(self, key: str) -> None:
-        """Return a pinned pool to ordinary LRU management."""
-
-    @abc.abstractmethod
-    def evict(self, key: str) -> bool:
-        """Drop a pool (pinned or not); returns whether one existed."""
-
-    @abc.abstractmethod
-    def fill_one(self, key: str, constraints: ConstraintSet, count: int) -> SamplePool:
-        """Build one pool on its owning shard (inline; not stored)."""
-
-    @abc.abstractmethod
-    def fill_many(self, jobs: Sequence[PoolFillJob]) -> Dict[str, SamplePool]:
-        """Build many pools, grouped per shard and run via the backend.
-
-        Returns ``{job.key: pool}``; pools are *returned*, not stored — the
-        caller decides what to cache (the engine stamps builds first).
-        """
-
-    @abc.abstractmethod
-    def __contains__(self, key: str) -> bool: ...
-
-    @abc.abstractmethod
-    def __len__(self) -> int: ...
-
-    @property
-    @abc.abstractmethod
-    def stats(self) -> CacheStats:
-        """Aggregated hit/miss/eviction/put counters across the whole store."""
-
-    @property
-    @abc.abstractmethod
-    def samples_saved(self) -> int:
-        """Total sample draws avoided by serving pools from storage."""
-
-
 # ===================================================================== shards
 class PoolShard:
     """One partition: an LRU pool cache, a pinned set, and fill execution.
@@ -564,8 +499,13 @@ class PoolShard:
 
 
 # ================================================================ repository
-class ShardedPoolRepository(PoolRepository):
+class ShardedPoolRepository:
     """Pools consistent-hashed across N shards with per-shard LRU budgets.
+
+    Keyed storage *and* build service for shared sample pools: the engine's
+    provisioning stage, snapshot restore and the warm-start planner all go
+    through it, so pool placement (one shard, N shards, N processes) is
+    invisible above it.
 
     Parameters
     ----------
@@ -834,6 +774,16 @@ class WarmStartPlanner:
             else engine.config.elicitation.k
         )
 
+    def _repository(self) -> ShardedPoolRepository:
+        """The engine's repository; a storage-disabled one cannot hold pins."""
+        repository = self.engine.pool_repository
+        if repository.capacity == 0:
+            raise ValueError(
+                "warm start requires a pool cache (pool_cache_size > 0): "
+                "with storage disabled there is nowhere to pin the warm pools"
+            )
+        return repository
+
     def warm(self) -> WarmStartReport:
         """Fill and pin the hot pools; returns what was warmed."""
         # Local import: the planner is engine-facing, and importing the
@@ -841,14 +791,7 @@ class WarmStartPlanner:
         from repro.core.elicitation import PackageRecommender, click_constraint_set
 
         engine = self.engine
-        repository: PoolRepository = engine.pool_repository
-        # A ShardedPoolRepository with capacity 0 is storage-disabled; custom
-        # repositories without a capacity attribute are assumed pinnable.
-        if getattr(repository, "capacity", None) == 0:
-            raise ValueError(
-                "warm start requires a pool cache (pool_cache_size > 0): "
-                "with storage disabled there is nowhere to pin the warm pools"
-            )
+        repository = self._repository()
         elicitation = engine.config.elicitation
         count = elicitation.num_samples
         # Exploration packages are per-session randomness: with num_random > 0
@@ -870,14 +813,16 @@ class WarmStartPlanner:
         warmed.append(empty_key)
 
         # The round-one "exploit" list every cold session will be served: a
-        # probe recommender with the engine's own elicitation config (and the
-        # warmed pool injected) computes exactly what any session would.
+        # probe recommender built like every session's (same config, prior,
+        # package and catalog predicates, with the warmed pool injected)
+        # computes exactly what any session would.
         probe = PackageRecommender(
             engine.catalog,
             engine.profile,
             config=elicitation,
             prior=engine.prior,
             predicates=engine.predicates,
+            catalog_predicate=engine.catalog_predicate,
         )
         probe.set_pool(empty_pool)
         ranked = probe.current_top_k()
@@ -931,12 +876,7 @@ class WarmStartPlanner:
         if top_n < 0:
             raise ValueError(f"top_n must be >= 0, got {top_n}")
         engine = self.engine
-        repository: PoolRepository = engine.pool_repository
-        if getattr(repository, "capacity", None) == 0:
-            raise ValueError(
-                "warm start requires a pool cache (pool_cache_size > 0): "
-                "with storage disabled there is nowhere to pin the warm pools"
-            )
+        repository = self._repository()
         count = engine.config.elicitation.num_samples
         mined = mine_click_prefixes(store, engine.evaluator)
         jobs: List[PoolFillJob] = []

@@ -260,8 +260,9 @@ class SessionManager:
 
         Unlike :meth:`acquire`, peeking never touches recency or the TTL
         clock, never restores a swapped-out session, and never raises: it is
-        for planning passes (e.g. the dispatcher asking which shard owns a
-        session's next fill) that must not perturb session lifecycle.
+        for planning passes (e.g. :meth:`RecommendationEngine.fill_shard_plan`
+        asking which shard owns a session's next fill) that must not perturb
+        session lifecycle.
         """
         return self._active.get(session_id)
 

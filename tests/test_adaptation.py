@@ -15,7 +15,6 @@ from repro.service import (
     EngineConfig,
     MemorySessionStore,
     PoolAdapter,
-    PoolUnavailableError,
     RecommendationEngine,
     ShardedPoolRepository,
 )
@@ -362,54 +361,6 @@ class TestEngineAdaptation:
         assert engine.pool_adapter is None
 
 
-# ============================================================ recommend_cached
-class TestRecommendCached:
-    def test_serves_when_the_pool_is_materialised(
-        self, serving_catalog, serving_profile
-    ):
-        engine = make_engine(serving_catalog, serving_profile)
-        sid = engine.create_session()
-        engine.recommend(sid)  # materialises the session pool
-        round_ = engine.recommend_cached(sid)
-        assert round_.recommended
-
-    def test_serves_a_pending_session_from_an_exact_repository_hit(
-        self, serving_catalog, serving_profile
-    ):
-        engine = make_engine(serving_catalog, serving_profile)
-        warm = engine.create_session()
-        engine.recommend(warm)  # builds the empty-prefix pool into the cache
-        cold = engine.create_session()
-        round_ = engine.recommend_cached(cold)  # pending, but the key is hot
-        assert round_.recommended
-
-    def test_refuses_when_serving_would_fill(
-        self, serving_catalog, serving_profile
-    ):
-        engine = make_engine(serving_catalog, serving_profile)
-        sid = engine.create_session()
-        with pytest.raises(PoolUnavailableError):
-            engine.recommend_cached(sid)
-        # The refusal must not have advanced the session.
-        entry = engine.sessions.acquire(sid)
-        assert entry.rounds_served == 0
-
-    def test_refuses_without_a_pool_repository(
-        self, serving_catalog, serving_profile
-    ):
-        engine = make_engine(
-            serving_catalog,
-            serving_profile,
-            pool_adaptation=None,
-            pool_cache_size=0,
-            topk_cache_size=0,
-            use_batch_sampler=False,
-        )
-        sid = engine.create_session()
-        with pytest.raises(PoolUnavailableError):
-            engine.recommend_cached(sid)
-
-
 # ===================================================== review-driven hardening
 class TestIndexBounding:
     def test_capacity_evicts_least_recently_touched(self):
@@ -426,20 +377,10 @@ class TestIndexBounding:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             ConstraintSimilarityIndex(capacity=0)
-        with pytest.raises(ValueError):
-            AdaptationConfig(index_capacity=0)
-
-    def test_engine_forwards_index_capacity(self, serving_catalog, serving_profile):
-        engine = make_engine(
-            serving_catalog,
-            serving_profile,
-            pool_adaptation=AdaptationConfig(index_capacity=7),
-        )
-        assert engine.pool_adapter.index.capacity == 7
 
 
 class TestChainDepthCap:
-    def _setup(self, donor_depth, max_chain_depth=2):
+    def _setup(self, donor_depth):
         rng = np.random.default_rng(0)
         samples = np.abs(rng.normal(size=(40, 2)))
         donor = SamplePool.unweighted(samples)
@@ -454,9 +395,7 @@ class TestChainDepthCap:
         adapter = PoolAdapter(
             repository,
             index,
-            AdaptationConfig(
-                psi=0.9, min_ess_fraction=0.2, max_chain_depth=max_chain_depth
-            ),
+            AdaptationConfig(psi=0.9, min_ess_fraction=0.2),
         )
         return adapter, target
 
@@ -477,7 +416,3 @@ class TestChainDepthCap:
         assert adapter.adapt("target", target, 40) is None
         assert adapter.stats.chain_capped == 1
         assert adapter.stats.no_donor == 0
-
-    def test_invalid_chain_depth_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptationConfig(max_chain_depth=0)

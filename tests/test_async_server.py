@@ -322,25 +322,6 @@ class TestDefaultWindowFlushesAtLoopIdle:
         assert dispatcher.stats.requests_shed == 2
         assert engine.batch_calls == [["s0", "s1"]]
 
-    def test_one_tick_overflow_is_degraded(self):
-        async def main():
-            engine = DegradableStubEngine(cached_ids={"s2"})
-            dispatcher = MicroBatchDispatcher(
-                engine, max_pending=2, shed_mode="degrade"
-            )
-            results = await asyncio.gather(
-                *(dispatcher.submit(f"s{i}") for i in range(4)),
-                return_exceptions=True,
-            )
-            return engine, dispatcher, results
-
-        engine, dispatcher, results = asyncio.run(main())
-        assert results[:3] == ["round:s0", "round:s1", "degraded:s2"]
-        assert isinstance(results[3], DispatcherOverloadedError)
-        assert dispatcher.stats.requests_degraded == 1
-        assert dispatcher.stats.requests_shed == 1
-        assert engine.batch_calls == [["s0", "s1"]]
-
     def test_server_default_batches_concurrent_rounds(
         self, serving_catalog, serving_profile
     ):
@@ -358,49 +339,98 @@ class TestDefaultWindowFlushesAtLoopIdle:
         assert server.dispatcher.stats.largest_batch == 4
 
 
-# ====================================================== shard-aware dispatch
+# ============================================================ dispatch order
 class TestShardAwareDispatch:
+    """Windows reach the engine in arrival order; the dispatcher never plans.
+
+    Grouping pool fills by shard is ``ShardedPoolRepository.fill_many``'s
+    job, and it does so whatever order a window arrives in.
+    """
+
     def _dispatch(self, engine, ids):
         async def main():
             dispatcher = MicroBatchDispatcher(
                 engine, max_batch_size=len(ids), max_wait=60.0
             )
-            results = await asyncio.gather(
+            return await asyncio.gather(
                 *(dispatcher.submit(session_id) for session_id in ids)
             )
-            return dispatcher, results
 
         return asyncio.run(main())
 
-    def test_window_groups_pool_missing_sessions_by_shard(self):
-        """Interleaved arrivals reach recommend_many contiguous per shard."""
-        engine = ShardAwareStubEngine(
-            plan={"a": 1, "b": 0, "c": 1, "d": 0}
-        )
-        dispatcher, results = self._dispatch(engine, ["a", "b", "c", "d"])
-        assert results == ["round:a", "round:b", "round:c", "round:d"]
-        # shard 0 first, shard 1 second; arrival order stable within a shard
-        assert engine.batch_calls == [["b", "d", "a", "c"]]
-        assert dispatcher.stats.shard_grouped_batches == 1
+    def test_window_groups_pool_missing_sessions_by_shard(
+        self, serving_catalog, serving_profile
+    ):
+        """An interleaved window of a 4-shard engine fills once per shard."""
+        engine = make_engine(serving_catalog, serving_profile, pool_shards=4)
+        repository = engine.pool_repository
+        fill_batches = []
+        run_fill_batches = repository.backend.run_fill_batches
+
+        def record(batches):
+            fill_batches.append(
+                [(shard.index, [job.key for job in jobs]) for shard, jobs in batches]
+            )
+            return run_fill_batches(batches)
+
+        repository.backend.run_fill_batches = record
+        plan_calls = []
+        fill_shard_plan = engine.fill_shard_plan
+
+        def plan(session_ids):
+            plan_calls.append(list(session_ids))
+            return fill_shard_plan(session_ids)
+
+        engine.fill_shard_plan = plan
+        ids = [engine.create_session(seed=100 + i) for i in range(6)]
+        for round_index in range(3):
+            rounds = self._dispatch(engine, ids)
+            assert all(round_.presented for round_ in rounds)
+            for index, (session_id, round_) in enumerate(zip(ids, rounds)):
+                engine.feedback(
+                    session_id, (index + round_index) % len(round_.presented)
+                )
+        assert plan_calls == []
+        assert any(len(batch) > 1 for batch in fill_batches)
+        for batch in fill_batches:
+            shards = [index for index, _keys in batch]
+            assert len(shards) == len(set(shards))
+            for index, keys in batch:
+                assert all(repository.shard_for(key).index == index for key in keys)
+        engine.close_repository()
 
     def test_sessions_with_live_pools_keep_arrival_order_after_groups(self):
-        engine = ShardAwareStubEngine(plan={"c": 2, "a": 0})
-        dispatcher, _results = self._dispatch(engine, ["a", "b", "c", "d"])
-        # planned sessions grouped first; pool-hit sessions (b, d) trail in
-        # arrival order
-        assert engine.batch_calls == [["a", "c", "b", "d"]]
+        """A plan that would reorder is never asked for, in any window."""
+        engine = ShardAwareStubEngine(plan={"a": 1, "b": 0, "c": 1, "d": 0})
+
+        async def main():
+            dispatcher = MicroBatchDispatcher(engine)
+            first = await asyncio.gather(
+                *(dispatcher.submit(session_id) for session_id in "abcd")
+            )
+            second = await asyncio.gather(
+                *(dispatcher.submit(session_id) for session_id in "dcb")
+            )
+            await dispatcher.aclose()
+            return first + second
+
+        results = asyncio.run(main())
+        assert results == [f"round:{session_id}" for session_id in "abcddcb"]
+        assert engine.batch_calls == [["a", "b", "c", "d"], ["d", "c", "b"]]
+        assert engine.plan_calls == []
 
     def test_single_shard_windows_are_left_untouched(self):
         engine = ShardAwareStubEngine(plan={"a": 3, "c": 3})
-        dispatcher, _results = self._dispatch(engine, ["a", "b", "c"])
+        results = self._dispatch(engine, ["a", "b", "c"])
+        assert results == ["round:a", "round:b", "round:c"]
         assert engine.batch_calls == [["a", "b", "c"]]
-        assert dispatcher.stats.shard_grouped_batches == 0
+        assert engine.plan_calls == []
 
     def test_engines_without_the_surface_are_left_untouched(self):
         engine = StubEngine()
-        dispatcher, _results = self._dispatch(engine, ["x", "y", "z"])
+        results = self._dispatch(engine, ["x", "y", "z"])
+        assert results == ["round:x", "round:y", "round:z"]
         assert engine.batch_calls == [["x", "y", "z"]]
-        assert dispatcher.stats.shard_grouped_batches == 0
 
 
 # ============================================================= backpressure
@@ -578,145 +608,3 @@ class TestAsyncTrafficSimulator:
             AsyncWorkloadSpec(arrival_rate=0.0)
         with pytest.raises(ValueError):
             AsyncWorkloadSpec(think_time_mean=-0.1)
-
-# ========================================================== degraded shedding
-class DegradableStubEngine(StubEngine):
-    """Stub with the engine's degraded serving surface (``recommend_cached``)."""
-
-    def __init__(self, cached_ids=(), fail_ids=()):
-        super().__init__(fail_ids=fail_ids)
-        self.cached_ids = set(cached_ids)
-        self.cached_calls = []
-
-    def recommend_cached(self, session_id):
-        from repro.service import PoolUnavailableError
-
-        self.cached_calls.append(session_id)
-        if session_id not in self.cached_ids:
-            raise PoolUnavailableError(session_id)
-        return f"degraded:{session_id}"
-
-
-class TestDegradedShedding:
-    def test_overload_requests_with_hot_state_get_a_degraded_round(self):
-        async def main():
-            engine = DegradableStubEngine(cached_ids={"s3", "s4"})
-            dispatcher = MicroBatchDispatcher(
-                engine,
-                max_batch_size=16,
-                max_wait=0.01,
-                max_pending=3,
-                shed_mode="degrade",
-            )
-            results = await asyncio.gather(
-                *(dispatcher.submit(f"s{i}") for i in range(5)),
-                return_exceptions=True,
-            )
-            await dispatcher.drain()
-            return engine, dispatcher, results
-
-        engine, dispatcher, results = asyncio.run(main())
-        # s0..s2 fill the window; s3 and s4 overflow but are cached: degraded.
-        assert results[3] == "degraded:s3" and results[4] == "degraded:s4"
-        assert dispatcher.stats.requests_degraded == 2
-        assert dispatcher.stats.requests_shed == 0
-        # The window itself was served normally.
-        assert engine.batch_calls == [["s0", "s1", "s2"]]
-
-    def test_cache_missing_overload_requests_are_still_shed(self):
-        async def main():
-            engine = DegradableStubEngine(cached_ids={"s3"})
-            dispatcher = MicroBatchDispatcher(
-                engine,
-                max_batch_size=16,
-                max_wait=0.01,
-                max_pending=3,
-                shed_mode="degrade",
-            )
-            results = await asyncio.gather(
-                *(dispatcher.submit(f"s{i}") for i in range(5)),
-                return_exceptions=True,
-            )
-            await dispatcher.drain()
-            return dispatcher, results
-
-        dispatcher, results = asyncio.run(main())
-        assert results[3] == "degraded:s3"
-        assert isinstance(results[4], DispatcherOverloadedError)
-        assert dispatcher.stats.requests_degraded == 1
-        assert dispatcher.stats.requests_shed == 1
-
-    def test_reject_mode_never_calls_the_degraded_surface(self):
-        async def main():
-            engine = DegradableStubEngine(cached_ids={"s3", "s4"})
-            dispatcher = MicroBatchDispatcher(
-                engine, max_batch_size=16, max_wait=0.01, max_pending=3
-            )
-            results = await asyncio.gather(
-                *(dispatcher.submit(f"s{i}") for i in range(5)),
-                return_exceptions=True,
-            )
-            await dispatcher.drain()
-            return engine, results
-
-        engine, results = asyncio.run(main())
-        assert engine.cached_calls == []
-        assert sum(isinstance(r, DispatcherOverloadedError) for r in results) == 2
-
-    def test_engines_without_the_surface_fall_back_to_shedding(self):
-        async def main():
-            dispatcher = MicroBatchDispatcher(
-                StubEngine(),
-                max_batch_size=16,
-                max_wait=0.01,
-                max_pending=2,
-                shed_mode="degrade",
-            )
-            results = await asyncio.gather(
-                *(dispatcher.submit(f"s{i}") for i in range(3)),
-                return_exceptions=True,
-            )
-            await dispatcher.drain()
-            return dispatcher, results
-
-        dispatcher, results = asyncio.run(main())
-        assert sum(isinstance(r, DispatcherOverloadedError) for r in results) == 1
-        assert dispatcher.stats.requests_shed == 1
-        assert dispatcher.stats.requests_degraded == 0
-
-    def test_invalid_shed_mode_rejected(self):
-        with pytest.raises(ValueError):
-            MicroBatchDispatcher(StubEngine(), shed_mode="drop")
-
-    def test_real_engine_degraded_serve_uses_cached_pools(
-        self, serving_catalog, serving_profile
-    ):
-        """End to end: an overloaded window serves a warm session a real
-        degraded round from the exact-match caches, with zero new fills."""
-
-        async def main():
-            engine = make_engine(serving_catalog, serving_profile)
-            async with AsyncRecommendationServer(
-                engine,
-                max_batch_size=16,
-                max_wait=0.01,
-                max_pending=2,
-                shed_mode="degrade",
-            ) as server:
-                ids = [await server.create_session(seed=i) for i in range(4)]
-                # Warm every session once (and therefore the shared pool).
-                for sid in ids:
-                    engine.recommend(sid)
-                sampled_before = engine.stats().pools_sampled
-                results = await asyncio.gather(
-                    *(server.recommend(sid) for sid in ids),
-                    return_exceptions=True,
-                )
-            return engine, server, results, sampled_before
-
-        engine, server, results, sampled_before = asyncio.run(main())
-        rounds = [r for r in results if not isinstance(r, Exception)]
-        assert len(rounds) == 4  # overflow requests were degraded, not shed
-        assert server.dispatcher.stats.requests_degraded == 2
-        assert server.dispatcher.stats.requests_shed == 0
-        assert engine.stats().pools_sampled == sampled_before  # no fills

@@ -3,7 +3,7 @@
 Exercises the tentpole end to end: span trees for per-session, batched, and
 process-shard requests (dispatcher admission → engine → pool fill → top-k
 search → event-log append), alarm counters + structured trace events for
-replay divergence and dispatcher shed/degrade, per-shard fill counters, the
+replay divergence and dispatcher shedding, per-shard fill counters, the
 consolidated ``engine.observe()`` tree, and the guarantee that telemetry
 never changes what is served.
 """
@@ -261,7 +261,6 @@ class TestAlarms:
                 max_batch_size=64,
                 max_wait=0.05,
                 max_pending=1,
-                shed_mode="reject",
             )
             ids = [await server.create_session(seed=7 + i) for i in range(2)]
             results = await asyncio.gather(
@@ -281,33 +280,6 @@ class TestAlarms:
         ]
         assert len(shed_traces) == 1
         assert shed_traces[0]["kept_because"] == "alarm"
-
-    def test_dispatcher_degrade_alarm(self, serving_catalog, serving_profile):
-        telemetry = traced_telemetry()
-        engine = make_engine(serving_catalog, serving_profile, telemetry)
-
-        async def drive():
-            server = AsyncRecommendationServer(
-                engine,
-                max_batch_size=64,
-                max_wait=0.05,
-                max_pending=1,
-                shed_mode="degrade",
-            )
-            ids = [await server.create_session(seed=7 + i) for i in range(2)]
-            # Warm the shared empty-prefix pool so a degraded serve can answer.
-            warm = asyncio.ensure_future(server.recommend(ids[0]))
-            await server.dispatcher.drain()
-            await warm
-            results = await asyncio.gather(
-                *[server.recommend(s) for s in ids], return_exceptions=True
-            )
-            await server.shutdown()
-            return results
-
-        results = asyncio.run(drive())
-        assert telemetry.alarm_count("dispatcher_degraded") >= 1
-        assert not any(isinstance(r, Exception) for r in results)
 
     def test_adaptation_ess_alarm_counter_exists(
         self, serving_catalog, serving_profile

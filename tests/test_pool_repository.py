@@ -18,6 +18,7 @@ import pytest
 from repro.core.elicitation import ElicitationConfig
 from repro.core.items import ItemCatalog
 from repro.core.profiles import AggregateProfile
+from repro.data.columnar import NumericRangePredicate
 from repro.sampling.base import ConstraintSet, SamplePool
 from repro.sampling.fillspec import (
     FillContext,
@@ -659,6 +660,33 @@ class TestWarmStart:
         report = engine.warm_start(first_clicks=0)
         assert report.pools_filled == 0  # reused the cached pool
         assert len(engine.pool_repository) == entries_before
+
+    def test_warm_round_respects_the_catalog_predicate(self):
+        """The warm top-k list is searched over eligible items only, like a
+        cold session's: a warmed engine serves no ineligible item."""
+        catalog = ItemCatalog(np.random.default_rng(3).random((120, 3)))
+        profile = AggregateProfile(["sum", "avg", "max"])
+        predicate = NumericRangePredicate(0, high=0.5)
+        config = EngineConfig(
+            elicitation=ElicitationConfig(
+                num_samples=32, k=3, max_package_size=2, num_random=0
+            ),
+            seed=4,
+        )
+        rounds = []
+        for warm in (False, True):
+            engine = RecommendationEngine(
+                catalog, profile, config, catalog_predicate=predicate
+            )
+            if warm:
+                engine.warm_start()
+            rounds.append(engine.recommend(engine.create_session(seed=11)))
+        eligible = predicate.eligible_mask(catalog)
+        cold, warmed = rounds
+        assert all(eligible[list(p.items)].all() for p in warmed.presented)
+        assert [p.items for p in warmed.presented] == [
+            p.items for p in cold.presented
+        ]
 
     def test_warm_start_requires_a_pool_cache(self, serving_catalog, serving_profile):
         engine = make_engine(serving_catalog, serving_profile, pool_cache_size=0)

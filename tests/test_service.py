@@ -157,9 +157,6 @@ class TestConeOncePerClick:
             ConstraintSet, "from_store", classmethod(counting_from_store)
         )
         before = engine.stats()
-        # What the async dispatcher runs per window: the shard plan, then
-        # the batch itself.
-        engine.fill_shard_plan(ids[1:])
         rounds = engine.recommend_many(ids[1:])
         after = engine.stats()
         assert all(round_.presented for round_ in rounds)
@@ -171,7 +168,6 @@ class TestConeOncePerClick:
         # Without a new click nothing is derived again.
         derived.clear()
         built.clear()
-        engine.fill_shard_plan(ids[1:])
         engine.recommend_many(ids[1:])
         assert derived == [] and built == []
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker: run the docs' code, verify intra-repo links and config tables.
+"""Documentation checker: run the docs' code, verify links, config tables and signatures.
 
-Three guarantees, enforced in CI (the ``docs`` job) and runnable locally:
+Four guarantees, enforced in CI (the ``docs`` job) and runnable locally:
 
 1. **Snippets execute.**  Every fenced ```` ```python ```` block in the
    checked documents is executed.  Blocks within one document share a single
@@ -23,6 +23,12 @@ Three guarantees, enforced in CI (the ``docs`` job) and runnable locally:
    like ``a`` / ``b`` names two fields), so a deleted option cannot linger
    there.
 
+4. **Skipped signature blocks name real parameters.**  Every python block
+   opted out of execution must still parse, and each keyword argument of
+   a call to a name that ``repro`` exports must be a parameter of that
+   name's :func:`inspect.signature`, so a deleted parameter cannot linger
+   in a documented signature either.
+
 Usage::
 
     python tools/check_docs.py            # check the default document set
@@ -31,8 +37,10 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import glob
+import inspect
 import os
 import re
 import sys
@@ -58,8 +66,11 @@ ENGINE_TABLE_DOCUMENT = os.path.join("docs", "api.md")
 ENGINE_TABLE_ANCHOR = "Key `EngineConfig` knobs"
 
 
-def extract_python_blocks(text):
-    """Yield ``(start_line, source)`` for each executable python block."""
+def extract_python_blocks(text, skipped=False):
+    """``(start_line, source)`` of each executable python block.
+
+    With ``skipped=True``, the blocks opted out by the skip marker instead.
+    """
     lines = text.splitlines()
     blocks = []
     in_block = False
@@ -78,7 +89,7 @@ def extract_python_blocks(text):
             skip_next = False
         elif line.strip() == "```" and in_block:
             in_block = False
-            if language == "python" and not block_skipped:
+            if language == "python" and block_skipped == skipped:
                 blocks.append((start, "\n".join(buffer)))
         elif in_block:
             buffer.append(line)
@@ -170,6 +181,36 @@ def check_engine_table(path, text, errors):
     return len(names)
 
 
+def check_signatures(path, text, errors):
+    """Keyword arguments in skipped blocks must be parameters of ``repro`` names."""
+    import repro
+
+    exported = set(repro.__all__)
+    checked = 0
+    for start_line, source in extract_python_blocks(text, skipped=True):
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            errors.append(f"{path}:{start_line}: skipped block does not parse: {exc}")
+            continue
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in exported
+            ):
+                continue
+            parameters = inspect.signature(getattr(repro, node.func.id)).parameters
+            for keyword in node.keywords:
+                checked += 1
+                if keyword.arg not in parameters:
+                    errors.append(
+                        f"{path}:{start_line + keyword.lineno - 1}: "
+                        f"{node.func.id}() has no parameter {keyword.arg!r}"
+                    )
+    return checked
+
+
 def main(argv):
     os.chdir(REPO_ROOT)
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -188,7 +229,11 @@ def main(argv):
             text = handle.read()
         snippets = check_snippets(path, text, errors)
         links = check_links(path, text, errors)
-        summary = f"{snippets} snippet(s) executed, {links} link(s) checked"
+        keywords = check_signatures(path, text, errors)
+        summary = (
+            f"{snippets} snippet(s) executed, {links} link(s) checked, "
+            f"{keywords} signature keyword(s) checked"
+        )
         if os.path.normpath(path) == ENGINE_TABLE_DOCUMENT:
             fields = check_engine_table(path, text, errors)
             summary += f", {fields} EngineConfig field(s) checked"
