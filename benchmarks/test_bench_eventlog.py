@@ -22,8 +22,8 @@ acceptance axes:
   replaces.
 
 Crash recovery replays from the seed with no checkpoint, so the workload
-runs ``maintain_on_miss=False`` (pool fills are key-deterministic; a
-maintained pool's content is in-memory state a crash destroys by design).
+runs ``maintain_on_miss=False``: every pool is a key-deterministic fill,
+which keeps the replay exact whichever session builds a shared key first.
 The regenerated table lands in ``results/bench_eventlog.txt``.
 """
 

@@ -2,26 +2,29 @@
 
 Not a paper figure — this holds the observability tentpole to its
 acceptance axis: the unified telemetry layer (request spans, metrics
-registry, slow-request sampling) must cost **at most 5% of p50 round serve
+registry, slow-request sampling) must cost **at most 5% of round serve
 latency** when enabled with production settings, and a disabled facade must
 be indistinguishable from no instrumentation at all (one attribute check
 per site).
 
-Method: identically seeded engines serve the same click stream serially —
-one with ``Telemetry.disabled()`` (the default), one with tracing enabled
-at production sampling settings (keep slow traces over 50 ms, sample every
-10th) plus an in-memory sink.  Per-round ``recommend`` latencies are
-collected; the run alternates off/on engines across ``TRIALS`` interleaved
-trials and takes the best p50 per mode, which cancels machine drift the
-same way the paired columnar bench does.  Determinism makes the served
-rounds bit-identical across modes, so the latency delta is pure
-instrumentation cost.
+Method: identically seeded engines serve the same click stream — one with
+``Telemetry.disabled()`` (the default), one with tracing enabled at
+production sampling settings (keep slow traces over 50 ms, sample every
+10th) plus an in-memory sink.  Determinism makes the served rounds
+bit-identical across modes, so the two engines do the same work round for
+round and the latency delta is pure instrumentation cost.  Each trial
+serves the two engines in lockstep, round by round, so every pair of
+rounds meets the same host state; trials alternate which engine serves
+first.  A trial's overhead is the median over its rounds of
+``on / off - 1``.  The gate is the one-sided 95% upper confidence bound
+(Student t over ``TRIALS`` trials) of the mean trial overhead, not a point
+estimate: best-of-3 ratios of unpaired p50s read from 0% to 45% on one
+tree, because the p50 of two dozen rounds jumps between latency clusters.
 
 Headline metric asserted and recorded for the CI gate
 (``tools/bench_gate.py``):
 
-* ``telemetry_overhead_fraction`` — ``max(0, p50_on / p50_off - 1)``,
-  ceiling 0.05.
+* ``telemetry_overhead_fraction`` — ``max(0, upper bound)``, ceiling 0.05.
 
 The regenerated table lands in ``results/bench_obs.txt``.
 """
@@ -47,7 +50,9 @@ NUM_FEATURES = 4
 NUM_SESSIONS = 6
 NUM_ROUNDS = 4
 NUM_SAMPLES = 1_500
-TRIALS = 3
+TRIALS = 10
+#: One-sided confidence level of the gated upper bound.
+CONFIDENCE = 0.95
 CLICK_NOISE_PSI = 0.9
 
 #: Production sampling settings for the enabled mode: slow-request keep
@@ -86,76 +91,108 @@ def _traced() -> Telemetry:
     )
 
 
-def _run_workload(engine):
-    """Serve the click stream; return per-round latencies and presented lists."""
-    users = build_user_population(
-        engine.evaluator,
-        NUM_SESSIONS,
-        identical_prefix=True,
-        user_seed=0,
-        noise_psi=CLICK_NOISE_PSI,
-    )
-    ids = [
-        engine.create_session(
-            seed=session_seed_for(0, index, identical_prefix=False)
+def _run_paired(on_first: bool):
+    """Serve the click stream on an untraced and a traced engine in lockstep.
+
+    Returns per-round latencies and presented lists for each mode, plus the
+    traced engine's telemetry.
+    """
+    telemetry = _traced()
+    engines = {"off": _engine(), "on": _engine(telemetry)}
+    order = ("on", "off") if on_first else ("off", "on")
+    users = {
+        mode: build_user_population(
+            engine.evaluator,
+            NUM_SESSIONS,
+            identical_prefix=True,
+            user_seed=0,
+            noise_psi=CLICK_NOISE_PSI,
         )
-        for index in range(NUM_SESSIONS)
-    ]
-    latencies = []
-    presented = []
-    rounds = {}
-    for sid in ids:
-        tick = time.perf_counter()
-        rounds[sid] = engine.recommend(sid)
-        latencies.append(time.perf_counter() - tick)
-    for _round in range(1, NUM_ROUNDS):
-        for index, sid in enumerate(ids):
-            engine.feedback(sid, users[index].click(rounds[sid].presented))
-            tick = time.perf_counter()
-            rounds[sid] = engine.recommend(sid)
-            latencies.append(time.perf_counter() - tick)
-            presented.append([p.items for p in rounds[sid].presented])
-    return np.asarray(latencies), presented
+        for mode, engine in engines.items()
+    }
+    ids = {
+        mode: [
+            engine.create_session(
+                seed=session_seed_for(0, index, identical_prefix=False)
+            )
+            for index in range(NUM_SESSIONS)
+        ]
+        for mode, engine in engines.items()
+    }
+    latencies = {mode: [] for mode in engines}
+    presented = {mode: [] for mode in engines}
+    rounds = {mode: {} for mode in engines}
+    for round_index in range(NUM_ROUNDS):
+        for index in range(NUM_SESSIONS):
+            for mode in order:
+                engine, sid = engines[mode], ids[mode][index]
+                if round_index:
+                    engine.feedback(
+                        sid, users[mode][index].click(rounds[mode][sid].presented)
+                    )
+                tick = time.perf_counter()
+                rounds[mode][sid] = engine.recommend(sid)
+                latencies[mode].append(time.perf_counter() - tick)
+                presented[mode].append([p.items for p in rounds[mode][sid].presented])
+    return (
+        {mode: np.asarray(values) for mode, values in latencies.items()},
+        presented,
+        telemetry,
+    )
+
+
+def upper_confidence_bound(samples) -> float:
+    """One-sided Student-t ``CONFIDENCE`` upper bound of the mean of ``samples``."""
+    from scipy import stats
+
+    samples = np.asarray(samples, dtype=float)
+    spread = samples.std(ddof=1) / np.sqrt(samples.size)
+    return float(
+        samples.mean() + stats.t.ppf(CONFIDENCE, samples.size - 1) * spread
+    )
 
 
 @pytest.fixture(scope="module")
 def obs_report():
     from bench_utils import record_ci_metric, write_results
 
-    p50s_off, p50s_on = [], []
-    rounds_off = rounds_on = None
+    overheads, p50s_off, p50s_on = [], [], []
+    rounds_equal = True
     telemetry = None
-    # Interleave off/on trials so slow-machine drift hits both modes alike.
-    for _trial in range(TRIALS):
-        off_times, rounds_off = _run_workload(_engine())
-        telemetry = _traced()
-        on_times, rounds_on = _run_workload(_engine(telemetry))
-        p50s_off.append(float(np.median(off_times)))
-        p50s_on.append(float(np.median(on_times)))
-    p50_off = min(p50s_off)
-    p50_on = min(p50s_on)
-    overhead = max(0.0, p50_on / p50_off - 1.0) if p50_off else 0.0
+    for trial in range(TRIALS):
+        times, presented, telemetry = _run_paired(on_first=trial % 2 == 1)
+        overheads.append(float(np.median(times["on"] / times["off"]) - 1.0))
+        p50s_off.append(float(np.median(times["off"])))
+        p50s_on.append(float(np.median(times["on"])))
+        rounds_equal = rounds_equal and presented["off"] == presented["on"]
+    mean = float(np.mean(overheads))
+    upper = upper_confidence_bound(overheads)
+    overhead = max(0.0, upper)
     tracer_stats = telemetry.tracer.describe()
 
     header = (
         "Telemetry overhead — request tracing + metrics on the serve path\n"
-        f"p50 round latency overhead {overhead * 100:.1f}% with tracing "
-        f"enabled (ceiling {MAX_OVERHEAD_FRACTION * 100:.0f}%, CI-gated)"
+        f"per-round latency overhead with tracing enabled: upper "
+        f"{CONFIDENCE * 100:.0f}% bound {upper * 100:.2f}% (ceiling "
+        f"{MAX_OVERHEAD_FRACTION * 100:.0f}%, CI-gated)"
     )
     body = "\n".join(
         [
-            "[p50 round serve latency (asserted)]",
+            "[per-round serve latency overhead (asserted)]",
             f"  {NUM_SESSIONS} sessions x {NUM_ROUNDS} rounds, "
-            f"{NUM_SAMPLES}-sample pools, best of {TRIALS} interleaved "
-            f"trials per mode",
-            f"  telemetry off: p50={p50_off * 1e3:.3f}ms "
-            f"(trials: {', '.join(f'{p * 1e3:.3f}' for p in p50s_off)})",
-            f"  telemetry on:  p50={p50_on * 1e3:.3f}ms "
-            f"(trials: {', '.join(f'{p * 1e3:.3f}' for p in p50s_on)})",
-            f"  overhead: {overhead * 100:.2f}% "
+            f"{NUM_SAMPLES}-sample pools, {TRIALS} paired lockstep trials "
+            f"alternating which engine serves first",
+            f"  trial overheads (median of on/off - 1 over rounds): "
+            f"{', '.join(f'{o * 100:+.2f}%' for o in overheads)}",
+            f"  mean {mean * 100:+.2f}%, one-sided {CONFIDENCE * 100:.0f}% "
+            f"upper bound {upper * 100:+.2f}% "
             f"(slow_ms={SLOW_MS}, sample_every={SAMPLE_EVERY})",
+            f"  p50 off per trial: "
+            f"{', '.join(f'{p * 1e3:.2f}' for p in p50s_off)} ms",
+            f"  p50 on per trial:  "
+            f"{', '.join(f'{p * 1e3:.2f}' for p in p50s_on)} ms",
             "",
-            "[tracer accounting, final enabled trial]",
+            "[tracer accounting, final trial]",
             f"  traces finished={tracer_stats['traces_finished']} "
             f"kept={tracer_stats['traces_kept']} "
             f"sampled_out={tracer_stats['traces_sampled_out']}",
@@ -168,34 +205,37 @@ def obs_report():
         overhead,
         source="benchmarks/test_bench_obs.py",
         description=(
-            f"max(0, p50_on/p50_off - 1) of round serve latency with request "
-            f"tracing enabled (slow_ms={SLOW_MS}, "
-            f"sample_every={SAMPLE_EVERY}) vs the disabled facade, "
-            f"{NUM_SESSIONS} sessions x {NUM_ROUNDS} rounds, best of "
-            f"{TRIALS} interleaved trials"
+            f"max(0, one-sided {CONFIDENCE * 100:.0f}% upper confidence bound) "
+            f"of the per-round serve latency overhead with request tracing "
+            f"enabled (slow_ms={SLOW_MS}, sample_every={SAMPLE_EVERY}) vs the "
+            f"disabled facade, {TRIALS} paired lockstep trials of "
+            f"{NUM_SESSIONS} sessions x {NUM_ROUNDS} rounds"
         ),
         unit="frac",
         ceiling=MAX_OVERHEAD_FRACTION,
     )
     return {
         "overhead": overhead,
-        "rounds_off": rounds_off,
-        "rounds_on": rounds_on,
+        "rounds_equal": rounds_equal,
         "tracer_stats": tracer_stats,
     }
 
 
 def test_overhead_within_budget(obs_report):
-    """The acceptance headline: tracing costs <= 5% of p50 round latency."""
+    """The acceptance headline: tracing costs <= 5% of round latency.
+
+    Gated on the upper confidence bound, so the test passes only when the
+    trials show the overhead is under the ceiling.
+    """
     assert obs_report["overhead"] <= MAX_OVERHEAD_FRACTION, (
-        f"telemetry overhead {obs_report['overhead'] * 100:.1f}% exceeds the "
-        f"{MAX_OVERHEAD_FRACTION * 100:.0f}% ceiling"
+        f"telemetry overhead upper bound {obs_report['overhead'] * 100:.1f}% "
+        f"exceeds the {MAX_OVERHEAD_FRACTION * 100:.0f}% ceiling"
     )
 
 
 def test_tracing_does_not_change_served_rounds(obs_report):
     """Determinism: the instrumented engine serves bit-identical rounds."""
-    assert obs_report["rounds_off"] == obs_report["rounds_on"]
+    assert obs_report["rounds_equal"]
 
 
 def test_sampling_actually_dropped_traces(obs_report):

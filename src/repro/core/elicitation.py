@@ -25,6 +25,7 @@ Typical usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -227,6 +228,17 @@ class PackageRecommender:
         (:class:`repro.data.columnar.CatalogPredicate`) pushed down into
         the searcher's sorted-list walk and into random-package draws, so
         every presented package contains only eligible items.
+    batch_searcher:
+        Optional searcher to rank with, shared with its owner: a serving
+        engine passes its own, so its sessions hold no per-catalog objects
+        of their own.  It must have been built over ``catalog``,
+        ``profile`` and ``predicates`` with the configuration's
+        ``max_package_size``, beam width and items cap, and with
+        ``catalog_predicate``; the recommender's :attr:`evaluator` is the
+        searcher's.  By default the recommender builds its own.
+
+    The sampler and the §3.4 maintainer are built on first use: a session
+    whose pools come from a provider never uses either.
     """
 
     def __init__(
@@ -237,13 +249,32 @@ class PackageRecommender:
         prior: Optional[GaussianMixture] = None,
         predicates: Optional[PredicateSet] = None,
         catalog_predicate=None,
+        batch_searcher: Optional[BatchTopKPackageSearcher] = None,
     ) -> None:
         self.config = config if config is not None else ElicitationConfig()
         self.catalog = catalog
         self.profile = profile
-        self.evaluator = PackageEvaluator(
-            catalog, profile, self.config.max_package_size
-        )
+        if batch_searcher is None:
+            batch_searcher = BatchTopKPackageSearcher(
+                PackageEvaluator(catalog, profile, self.config.max_package_size),
+                predicates=predicates,
+                beam_width=self.config.search_beam_width,
+                max_items_accessed=self.config.search_items_cap,
+                catalog_predicate=catalog_predicate,
+            )
+        elif (
+            batch_searcher.evaluator.catalog is not catalog
+            or batch_searcher.evaluator.max_package_size
+            != self.config.max_package_size
+        ):
+            raise ValueError(
+                "batch_searcher must search this catalog with packages of at "
+                f"most max_package_size={self.config.max_package_size} items"
+            )
+        # The pool-wide top-k queries walk the sorted lists once for all
+        # samples.
+        self.batch_searcher = batch_searcher
+        self.evaluator = batch_searcher.evaluator
         self.rng = ensure_rng(self.config.seed)
         if prior is None:
             prior = GaussianMixture.default_prior(
@@ -263,7 +294,6 @@ class PackageRecommender:
             if self.config.noise_psi is not None
             else None
         )
-        self.sampler = self._build_sampler()
         self.preferences = PreferenceStore(catalog.num_features, on_cycle="drop")
         self.catalog_predicate = catalog_predicate
         if catalog_predicate is None:
@@ -275,16 +305,6 @@ class PackageRecommender:
                 raise ValueError(
                     "catalog_predicate eliminates every item; nothing to recommend"
                 )
-        # The pool-wide top-k queries walk the sorted lists once for all
-        # samples.
-        self.batch_searcher = BatchTopKPackageSearcher(
-            self.evaluator,
-            predicates=predicates,
-            beam_width=self.config.search_beam_width,
-            max_items_accessed=self.config.search_items_cap,
-            catalog_predicate=catalog_predicate,
-        )
-        self._maintainer = self._build_maintainer()
         self._pool: Optional[SamplePool] = None
         self._stale_pool: Optional[SamplePool] = None
         self._pool_provider: Optional[PoolProvider] = None
@@ -295,7 +315,9 @@ class PackageRecommender:
         self.clicks_received = 0
 
     # ---------------------------------------------------------------- plumbing
-    def _build_sampler(self) -> Sampler:
+    @cached_property
+    def sampler(self) -> Sampler:
+        """The session's own sampler, drawing from the session RNG."""
         noise_probability = self.config.noise_psi
         if self.config.sampler == "rejection":
             return RejectionSampler(
@@ -309,7 +331,8 @@ class PackageRecommender:
             self.prior, rng=self.rng, noise_probability=noise_probability
         )
 
-    def _build_maintainer(self) -> Optional[SampleMaintainer]:
+    @cached_property
+    def _maintainer(self) -> Optional[SampleMaintainer]:
         if self.config.maintenance == "resample":
             return None
         if self.config.maintenance == "naive":
@@ -371,10 +394,17 @@ class PackageRecommender:
         """
         self._pool_provider = provider
 
-    def set_pool(self, pool: Optional[SamplePool]) -> None:
-        """Install an externally generated pool (snapshot restore, testing)."""
-        self._pool = pool
-        self._stale_pool = None
+    def set_pool(self, pool: Optional[SamplePool], stale: bool = False) -> None:
+        """Install an externally generated pool (snapshot restore, testing).
+
+        ``stale=True`` parks ``pool`` as the pre-feedback pool instead and
+        leaves the current pool pending: the state of a session clicked
+        since its last pool was built.
+        """
+        if stale:
+            self._pool, self._stale_pool = None, pool
+        else:
+            self._pool, self._stale_pool = pool, None
 
     def sample_pool(self, refresh: bool = False) -> SamplePool:
         """The current pool of posterior weight samples (generated lazily)."""

@@ -58,8 +58,11 @@ class Preference:
 
     The normalised feature vectors of both packages are stored so the
     half-space direction ``preferred_vector - other_vector`` is available
-    without re-aggregating.
+    without re-aggregating.  Slotted: a session holds one per unclicked
+    package of every click.
     """
+
+    __slots__ = ("preferred", "other", "preferred_vector", "other_vector")
 
     preferred: Package
     other: Package
@@ -118,6 +121,14 @@ class Preference:
         """Whether the weight vector ``weights`` satisfies this preference."""
         return float(np.asarray(weights, dtype=float) @ self.direction) >= 0.0
 
+    def __reduce__(self):
+        # The default slot-state unpickling assigns fields one by one, which
+        # a frozen dataclass refuses; rebuild through the constructor.
+        return (
+            Preference,
+            (self.preferred, self.other, self.preferred_vector, self.other_vector),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Preference({self.preferred.items} ≻ {self.other.items})"
 
@@ -143,9 +154,9 @@ class PreferenceStore:
         self.num_features = num_features
         self.on_cycle = on_cycle
         self._preferences: List[Preference] = []
-        # DAG: node = package id tuple, edges preferred -> other.
+        # DAG: node = package id tuple, edges preferred -> other.  Only nodes
+        # with an out-edge have an entry; a sink appears as a successor only.
         self._successors: Dict[Tuple[int, ...], Set[Tuple[int, ...]]] = {}
-        self._vectors: Dict[Tuple[int, ...], np.ndarray] = {}
         self._dropped = 0
 
     # ------------------------------------------------------------------ basics
@@ -160,7 +171,10 @@ class PreferenceStore:
     @property
     def num_packages(self) -> int:
         """Number of distinct packages mentioned in the feedback."""
-        return len(self._vectors)
+        nodes = set(self._successors)
+        for dsts in self._successors.values():
+            nodes.update(dsts)
+        return len(nodes)
 
     @property
     def num_dropped(self) -> int:
@@ -188,9 +202,6 @@ class PreferenceStore:
             raise PreferenceCycleError(cycle + [dst])
         self._preferences.append(preference)
         self._successors.setdefault(src, set()).add(dst)
-        self._successors.setdefault(dst, set())
-        self._vectors[src] = np.asarray(preference.preferred_vector)
-        self._vectors[dst] = np.asarray(preference.other_vector)
         return True
 
     def add_click_feedback(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -21,6 +21,11 @@ from repro.core.preferences import Preference, PreferenceStore
 from repro.sampling.gaussian_mixture import GaussianMixture
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_matrix, require_vector
+
+#: Decimal digits :meth:`ConstraintSet.fingerprint` rounds directions to.
+#: Anything that must agree with fingerprint equality (the adaptation
+#: layer's similarity index) rounds with this same constant.
+FINGERPRINT_PRECISION = 10
 
 
 class ConstraintSet:
@@ -38,6 +43,8 @@ class ConstraintSet:
     num_features:
         Required when ``directions`` is empty, to fix the dimensionality.
     """
+
+    __slots__ = ("_directions", "num_features", "_fingerprint")
 
     def __init__(
         self,
@@ -57,7 +64,7 @@ class ConstraintSet:
         directions.flags.writeable = False
         self._directions = directions
         self.num_features = directions.shape[1]
-        self._fingerprints: Dict[int, str] = {}
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -166,26 +173,26 @@ class ConstraintSet:
         return point
 
     # ------------------------------------------------------------- fingerprint
-    def fingerprint(self, precision: int = 10) -> str:
+    def fingerprint(self) -> str:
         """A canonical content fingerprint of the constraint set.
 
         Two constraint sets that contain the same half-space directions — in
-        any order, up to ``precision`` decimal digits — produce the same
-        fingerprint.  The serving layer uses this as the key of the shared
-        sample-pool cache: sessions whose feedback prefixes induce identical
-        constraint sets map to the same key and can share one pool of
-        posterior samples.  The result is memoized per ``precision``.
+        any order, up to :data:`FINGERPRINT_PRECISION` decimal digits —
+        produce the same fingerprint.  The serving layer uses this as the key
+        of the shared sample-pool cache: sessions whose feedback prefixes
+        induce identical constraint sets map to the same key and can share
+        one pool of posterior samples.  The result is memoized.
         """
-        fingerprint = self._fingerprints.get(precision)
+        fingerprint = self._fingerprint
         if fingerprint is None:
-            rounded = np.round(self._directions, precision)
+            rounded = np.round(self._directions, FINGERPRINT_PRECISION)
             rounded += 0.0  # normalise -0.0 to +0.0 so signs cannot split keys
             rows = sorted(tuple(row) for row in rounded.tolist())
             digest = hashlib.blake2b(digest_size=16)
             digest.update(f"m={self.num_features};c={len(rows)};".encode())
             for row in rows:
                 digest.update(repr(row).encode())
-            fingerprint = self._fingerprints[precision] = digest.hexdigest()
+            fingerprint = self._fingerprint = digest.hexdigest()
         return fingerprint
 
     # --------------------------------------------------------------- extension

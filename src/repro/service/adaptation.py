@@ -43,7 +43,7 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sampling.base import ConstraintSet, SamplePool
+from repro.sampling.base import FINGERPRINT_PRECISION, ConstraintSet, SamplePool
 from repro.sampling.reweight import importance_reweight, pool_effective_sample_size
 
 __all__ = [
@@ -147,12 +147,9 @@ class ConstraintSimilarityIndex:
     one pool fill.
     """
 
-    def __init__(self, precision: int = 10, capacity: int = 4_096) -> None:
-        if precision <= 0:
-            raise ValueError(f"precision must be > 0, got {precision}")
+    def __init__(self, capacity: int = 4_096) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
-        self.precision = precision
         self.capacity = capacity
         self._entries: "OrderedDict[str, Tuple[ConstraintRows, int, int]]" = (
             OrderedDict()
@@ -161,7 +158,7 @@ class ConstraintSimilarityIndex:
     # ------------------------------------------------------------ registration
     def rows_of(self, constraints: ConstraintSet) -> ConstraintRows:
         """The canonical (rounded, sign-normalised) row set of a constraint set."""
-        rounded = np.round(constraints.directions, self.precision)
+        rounded = np.round(constraints.directions, FINGERPRINT_PRECISION)
         rounded += 0.0  # fold -0.0 to +0.0, mirroring fingerprint()
         return frozenset(tuple(row) for row in rounded.tolist())
 

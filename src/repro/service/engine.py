@@ -428,7 +428,6 @@ class RecommendationEngine:
         self.catalog = catalog
         self.profile = profile
         self.store = store
-        self.predicates = predicates
         self.catalog_predicate = catalog_predicate
         self.clock = clock
         # Log-backed store: sessions persist as events, restore is replay.
@@ -507,11 +506,10 @@ class RecommendationEngine:
                 telemetry=self.telemetry,
             )
         self._topk_cache = LruCache(self.config.topk_cache_size)
-        # Engine-level batch searcher for across-session search batching:
-        # same construction as every session's own searcher (identical
-        # evaluator, predicates and bounded-work caps), so in the exact
-        # default configuration a ranked list it produces is the one the
-        # session would have computed itself (see _rank for capped walks).
+        # The one batch searcher (and evaluator) of the engine: every
+        # session ranks with it too, so in the exact default configuration
+        # a ranked list the engine computes is the one the session would
+        # have computed itself (see _rank for capped walks).
         self.evaluator = PackageEvaluator(
             catalog, profile, elicitation.max_package_size
         )
@@ -593,13 +591,15 @@ class RecommendationEngine:
 
     def _new_entry(self, session_id: str, seed: int) -> SessionEntry:
         session_config = replace(self.config.elicitation, seed=seed)
+        # The session ranks with the engine's searcher and evaluator: one
+        # set of per-catalog objects, however many sessions are live.
         recommender = PackageRecommender(
             self.catalog,
             self.profile,
             config=session_config,
             prior=self.prior,
-            predicates=self.predicates,
             catalog_predicate=self.catalog_predicate,
+            batch_searcher=self.batch_searcher,
         )
         now = self.clock()
         entry = SessionEntry(
@@ -682,9 +682,9 @@ class RecommendationEngine:
         """The recommender's pool provider: provisioning for one session.
 
         Serving provisions pools before it asks the recommender for them, so
-        this hook only runs for pools needed outside serving: a snapshot or
-        checkpoint materialising a pending pool, or a direct read of a
-        session's recommender.
+        this hook only runs for pools needed outside serving: a snapshot
+        materialising a pending pool, or a direct read of a session's
+        recommender.
         """
         self._provision([entry])
         return entry.recommender.pending_pool
@@ -1288,13 +1288,29 @@ class RecommendationEngine:
         """The event-log checkpoint of a replayable session.
 
         No preferences, no RNG state, no last round: all of that replays
-        from the log.  What cannot be replayed cheaply is the *materialised
-        pool* (a maintained pool depends on history the §3.4 ladder would
-        have to re-walk), so the checkpoint materialises it and carries the
-        content-addressed reference; restore reattaches the exact build at
-        the checkpoint's position in the event stream.
+        from the log.  What cannot be replayed cheaply is the session's
+        *pool* (a maintained pool depends on history the §3.4 ladder would
+        have to re-walk), so the checkpoint carries its content-addressed
+        reference and restore reattaches the exact build at the
+        checkpoint's position in the event stream.
+
+        The checkpoint builds nothing.  A session clicked since its last
+        pool has that pool parked as stale and its next one pending; the
+        checkpoint then references the stale pool, marked ``pending``, and
+        restore parks it as stale again, so the next round builds the pool
+        exactly as it would have without the swap-out.  A session that
+        never had a pool checkpoints ``"pool": None``.
         """
-        pool = entry.recommender.sample_pool()
+        recommender = entry.recommender
+        pool = recommender.pending_pool
+        pool_payload = None
+        if pool is not None:
+            pool_payload = self._pool_payload(entry, pool, embed_pool=False)
+        elif recommender.stale_pool is not None:
+            pool_payload = self._pool_payload(
+                entry, recommender.stale_pool, embed_pool=False
+            )
+            pool_payload["pending"] = True
         return {
             "kind": "eventlog-checkpoint",
             "session_id": entry.session_id,
@@ -1302,16 +1318,17 @@ class RecommendationEngine:
             "created_at": entry.created_at,
             "rounds_served": entry.rounds_served,
             "feedback_events": entry.feedback_events,
-            "pool": self._pool_payload(entry, pool, embed_pool=False),
+            "pool": pool_payload,
         }
 
     def _snapshot_entry(self, entry: SessionEntry, embed_pool: bool = True) -> dict:
         recommender = entry.recommender
         # Materialise the pending pool first: after feedback the pool is
-        # rebuilt lazily, and a snapshot without it could not reproduce the
-        # next recommendation (the rebuild draws fresh randomness).  This
-        # makes swap-out of a just-fed session pay one pool build inside the
-        # evicting request — the price of the exact round-trip guarantee.
+        # rebuilt lazily, and a snapshot blob carries no stale pool to
+        # rebuild it from, so without it the payload could not reproduce
+        # the next recommendation.  The public snapshot and blob swap-outs
+        # therefore pay one pool build for a just-fed session; event-log
+        # checkpoints (_checkpoint_entry) reference the stale pool instead.
         pool = recommender.sample_pool()
         last_round = recommender.last_round
         pool_payload = self._pool_payload(entry, pool, embed_pool)
@@ -1443,6 +1460,10 @@ class RecommendationEngine:
         the session's provider re-samples on next use, deterministically by
         key, which is exactly the "resampled only on repository miss"
         contract snapshot compaction trades the embedded floats for.
+
+        A ``pending`` payload (an event-log checkpoint of a session clicked
+        since its last pool) names the session's stale pool: it is parked
+        as stale, and the next round builds the pending pool from it.
         """
         if pool_payload is None:  # tolerate pool-less external payloads
             return
@@ -1513,7 +1534,7 @@ class RecommendationEngine:
                     pool_key=key,
                 )
         if pool is not None:
-            recommender.set_pool(pool)
+            recommender.set_pool(pool, stale=bool(pool_payload.get("pending")))
         # else: leave the pool pending; the provider fills it lazily.
 
     def _replay_divergence(
@@ -1545,7 +1566,12 @@ class RecommendationEngine:
         Checkpoint pool reattachment is *phased*: the checkpointed pool is
         attached at the checkpoint's position in the event stream, so a
         click replayed after it parks it as the stale pool for §3.4
-        maintenance — exactly the state a live session would be in.
+        maintenance — exactly the state a live session would be in.  From
+        there on, a replayed round whose pool is pending provisions it
+        first, as serving did live, so each later click parks the pool the
+        live session parked: after a pending checkpoint (one that
+        reattaches a stale pool, or none), and for every round of a
+        session replayed from its seed alone.
         """
         base = payload.get("base")
         if base is not None:
@@ -1566,6 +1592,8 @@ class RecommendationEngine:
                 pool_attached = True
             etype = event.get("type")
             if etype == EVENT_RECOMMEND_SERVED:
+                if pool_attached and recommender.pending_pool is None:
+                    self._provision([entry])
                 recommended = [
                     Package(tuple(int(i) for i in items))
                     for items in event.get("recommended") or []

@@ -814,15 +814,15 @@ class WarmStartPlanner:
 
         # The round-one "exploit" list every cold session will be served: a
         # probe recommender built like every session's (same config, prior,
-        # package and catalog predicates, with the warmed pool injected)
-        # computes exactly what any session would.
+        # catalog predicate and the engine's searcher, with the warmed pool
+        # injected) computes exactly what any session would.
         probe = PackageRecommender(
             engine.catalog,
             engine.profile,
             config=elicitation,
             prior=engine.prior,
-            predicates=engine.predicates,
             catalog_predicate=engine.catalog_predicate,
+            batch_searcher=engine.batch_searcher,
         )
         probe.set_pool(empty_pool)
         ranked = probe.current_top_k()

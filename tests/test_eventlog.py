@@ -476,13 +476,113 @@ class TestReplayRestore:
         assert stats.eventlog["sessions_live"] == 3
         restarted_store.close()
 
+    def test_swap_out_after_the_last_click_builds_no_pool(
+        self, serving_catalog, serving_profile, tmp_path
+    ):
+        # A session evicted right after a click has its next pool pending:
+        # the checkpoint references the stale pool instead of building the
+        # next one inside the evicting request.
+        store = log_store(tmp_path)
+        engine = make_engine(
+            serving_catalog, serving_profile, store=store, max_active_sessions=1
+        )
+        reference = make_engine(serving_catalog, serving_profile)
+        sid = engine.create_session(seed=100)
+        rid = reference.create_session(seed=100)
+        run_workload(engine, [sid], rounds=2)
+        run_workload(reference, [rid], rounds=2)
+        built = engine.stats().pools_built
+        engine.create_session(seed=101)  # evicts sid
+        assert engine.sessions.sessions_swapped_out == 1
+        assert engine.stats().pools_built == built
+        checkpoint = store._records[sid].checkpoint
+        assert checkpoint["pool"]["pending"] is True
+        # Restore re-parks the stale pool: the next round builds the pool
+        # the never-evicted session builds.
+        assert presented_items(engine.recommend(sid)) == presented_items(
+            reference.recommend(rid)
+        )
+        assert np.array_equal(
+            engine.sessions.peek(sid).recommender.pending_pool.samples,
+            reference.sessions.peek(rid).recommender.pending_pool.samples,
+        )
+        store.close()
+
+    def test_restart_replays_rounds_logged_after_a_pending_checkpoint(
+        self, serving_catalog, serving_profile, tmp_path
+    ):
+        # Two rounds and clicks are logged after the session's pending
+        # checkpoint (and a never-served session checkpoints no pool).
+        # Replay must provision each of those rounds as serving did, so the
+        # last click parks the same stale pool the live session parked.
+        store = log_store(tmp_path)
+        engine = make_engine(
+            serving_catalog, serving_profile, store=store, max_active_sessions=1
+        )
+        reference = make_engine(serving_catalog, serving_profile)
+        sid = engine.create_session(seed=100)
+        rid = reference.create_session(seed=100)
+        run_workload(engine, [sid], rounds=1)
+        run_workload(reference, [rid], rounds=1)
+        other = engine.create_session(seed=101)  # evicts sid: pending checkpoint
+        run_workload(engine, [sid], rounds=2)  # restores sid, evicts other
+        run_workload(reference, [rid], rounds=2)
+        assert store._records[other].checkpoint["pool"] is None
+        store.close()
+
+        restarted_store = log_store(tmp_path)
+        restarted = make_engine(
+            serving_catalog,
+            serving_profile,
+            store=restarted_store,
+            max_active_sessions=1,
+        )
+        assert presented_items(restarted.recommend(sid)) == presented_items(
+            reference.recommend(rid)
+        )
+        assert np.array_equal(
+            restarted.sessions.peek(sid).recommender.pending_pool.samples,
+            reference.sessions.peek(rid).recommender.pending_pool.samples,
+        )
+        restarted_store.close()
+
+    def test_restart_without_a_checkpoint_replays_maintained_pools(
+        self, serving_catalog, serving_profile, tmp_path
+    ):
+        # A session never swapped out has no checkpoint: replay from its
+        # seed provisions every logged round as serving did, so §3.4
+        # maintenance rebuilds the same pools and the restarted session
+        # serves the round the live one would have.
+        store = log_store(tmp_path)
+        engine = make_engine(serving_catalog, serving_profile, store=store)
+        reference = make_engine(serving_catalog, serving_profile)
+        sid = engine.create_session(seed=200)
+        rid = reference.create_session(seed=200)
+        run_workload(engine, [sid], rounds=3, click=1)
+        run_workload(reference, [rid], rounds=3, click=1)
+        store.close()
+
+        restarted_store = log_store(tmp_path)
+        restarted = make_engine(
+            serving_catalog, serving_profile, store=restarted_store
+        )
+        assert presented_items(restarted.recommend(sid)) == presented_items(
+            reference.recommend(rid)
+        )
+        assert restarted.stats().pools_maintained > 0
+        assert np.array_equal(
+            restarted.sessions.peek(sid).recommender.pending_pool.samples,
+            reference.sessions.peek(rid).recommender.pending_pool.samples,
+        )
+        restarted_store.close()
+
     def test_crash_recovery_with_torn_tail(
         self, serving_catalog, serving_profile, tmp_path
     ):
-        # Crash recovery replays from the seed with NO checkpoint, so pools
-        # are rebuilt by fresh key-deterministic fills: exact equivalence
-        # needs maintain_on_miss=False (a maintained pool's content is
-        # in-memory state the crash destroyed).
+        # Crash recovery replays from the seed with NO checkpoint.  With
+        # maintain_on_miss=False every pool is a fresh key-deterministic
+        # fill, so this pins the torn-tail path independently of §3.4
+        # maintenance (which the restart test above covers).
         store = log_store(tmp_path, fsync_every=1000)
         engine = make_engine(
             serving_catalog,

@@ -1,5 +1,8 @@
 """Tests for pairwise preferences, the preference DAG and transitive reduction."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,17 @@ class TestPreference:
     def test_from_vectors_length_mismatch(self):
         with pytest.raises(ValueError):
             Preference.from_vectors(np.array([0.5]), np.array([0.2, 0.1]))
+
+    def test_slotted_preferences_copy_and_pickle(self, paper_example_evaluator):
+        preference = make_preference(paper_example_evaluator, [0, 1], [2])
+        assert not hasattr(preference, "__dict__")
+        for clone in (
+            pickle.loads(pickle.dumps(preference)),
+            copy.deepcopy(preference),
+            copy.copy(preference),
+        ):
+            assert clone == preference
+            assert hash(clone) == hash(preference)
 
 
 class TestPreferenceStoreBasics:
@@ -163,6 +177,81 @@ class TestTransitiveReduction:
         assert len(store.reduced_preferences()) == 1
 
 
+def reference_dag(clicks, evaluator):
+    """Accepted preferences, node count and reduction of a click sequence.
+
+    The DAG semantics spelled out naively from the accepted edges alone,
+    every node explicit: a preference is dropped when its ``other`` package
+    already reaches its ``preferred`` one, and an accepted edge is redundant
+    when a path of two or more edges joins its ends.
+    """
+    accepted = []
+
+    def successors():
+        graph = {}
+        for pref in accepted:
+            graph.setdefault(pref.preferred.items, set()).add(pref.other.items)
+        return graph
+
+    def reaches(graph, src, dst, skip=None):
+        stack = [n for n in graph.get(src, ()) if (src, n) != skip]
+        seen = set(stack)
+        while stack:
+            node = stack.pop()
+            if node == dst:
+                return True
+            for nxt in graph.get(node, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    for clicked, presented in clicks:
+        for package in presented:
+            if package == clicked:
+                continue
+            if not reaches(successors(), package.items, clicked.items):
+                accepted.append(Preference.from_packages(evaluator, clicked, package))
+    graph = successors()
+    nodes = {p.preferred.items for p in accepted} | {p.other.items for p in accepted}
+    kept, seen = [], set()
+    for pref in accepted:
+        edge = (pref.preferred.items, pref.other.items)
+        if edge in seen or reaches(graph, edge[0], edge[1], skip=edge):
+            continue
+        seen.add(edge)
+        kept.append(pref)
+    return accepted, len(nodes), kept
+
+
+class TestSlimDag:
+    """The DAG keeps no node table: what it reports is unchanged."""
+
+    def test_random_click_sequences_match_the_reference(self):
+        catalog = ItemCatalog(np.random.default_rng(5).random((6, 3)))
+        evaluator = PackageEvaluator(catalog, AggregateProfile(["sum", "avg", "max"]), 2)
+        packages = [Package.of([i]) for i in range(6)] + [
+            Package.of([i, j]) for i in range(6) for j in range(i + 1, 6)
+        ]
+        rng = np.random.default_rng(27)
+        dropped = 0
+        for _sequence in range(150):
+            store = PreferenceStore(3, on_cycle="drop")
+            clicks = []
+            for _click in range(int(rng.integers(1, 9))):
+                chosen = rng.choice(len(packages), size=int(rng.integers(2, 6)), replace=False)
+                presented = [packages[i] for i in chosen]
+                clicked = presented[int(rng.integers(len(presented)))]
+                store.add_click_feedback(evaluator, clicked, presented)
+                clicks.append((clicked, presented))
+                accepted, num_packages, reduced = reference_dag(clicks, evaluator)
+                assert store.preferences == accepted
+                assert store.num_packages == num_packages
+                assert store.reduced_preferences() == reduced
+            dropped += store.num_dropped
+        assert dropped > 0  # the sequences did exercise cycle drops
+
+
 class TestConeCache:
     """The recommender's cached cone and memoized fingerprint equal fresh builds."""
 
@@ -203,7 +292,7 @@ class TestConeCache:
                 assert np.array_equal(cached.directions, fresh.directions)
                 assert cached.fingerprint() == fresh.fingerprint()
                 assert cached.fingerprint() == fresh.fingerprint()  # memoized
-                assert cached.fingerprint(precision=4) == fresh.fingerprint(precision=4)
+                assert cached.fingerprint() is cached.fingerprint()
             dropped += store.num_dropped
         assert dropped > 0  # the sequences did exercise cycle drops
 
