@@ -236,6 +236,9 @@ class PackageRecommender:
         ``max_package_size``, beam width and items cap, and with
         ``catalog_predicate``; the recommender's :attr:`evaluator` is the
         searcher's.  By default the recommender builds its own.
+    seed:
+        Seed of the recommender's RNG, overriding ``config.seed``: a serving
+        engine passes each session's seed beside one shared configuration.
 
     The sampler and the §3.4 maintainer are built on first use: a session
     whose pools come from a provider never uses either.
@@ -250,6 +253,7 @@ class PackageRecommender:
         predicates: Optional[PredicateSet] = None,
         catalog_predicate=None,
         batch_searcher: Optional[BatchTopKPackageSearcher] = None,
+        seed: Optional[int] = None,
     ) -> None:
         self.config = config if config is not None else ElicitationConfig()
         self.catalog = catalog
@@ -275,7 +279,7 @@ class PackageRecommender:
         # samples.
         self.batch_searcher = batch_searcher
         self.evaluator = batch_searcher.evaluator
-        self.rng = ensure_rng(self.config.seed)
+        self.rng = ensure_rng(self.config.seed if seed is None else seed)
         if prior is None:
             prior = GaussianMixture.default_prior(
                 catalog.num_features,

@@ -8,7 +8,8 @@ by the maximum achievable aggregate value (paper §2, Example 1).
 :class:`PackageEvaluator` binds an :class:`~repro.core.items.ItemCatalog`, an
 :class:`~repro.core.profiles.AggregateProfile` and φ together and provides:
 
-* package → normalised feature vector / utility evaluation,
+* package → normalised feature vector / utility evaluation, memoized per
+  evaluator so a package is aggregated once however many sessions see it,
 * an incremental :class:`AggregationState` API used by the ``Top-k-Pkg`` search
   to evaluate ``U(p ∪ {t})`` and ``U(p ∪ {τ})`` (τ = boundary vector) without
   re-aggregating from scratch,
@@ -19,13 +20,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.items import ItemCatalog
 from repro.core.profiles import AggregateProfile, Aggregation
 from repro.utils.rng import RngLike, ensure_rng
+
+#: Most package vectors one :class:`PackageEvaluator` memoizes; the memo is
+#: cleared when full.  A serving engine's sessions present the same few
+#: packages over and over, so a small memo catches nearly every repeat.
+VECTOR_MEMO_CAPACITY = 4096
 
 
 @dataclass(frozen=True, order=True)
@@ -148,6 +154,11 @@ class PackageEvaluator:
     normalisers:
         Optional pre-computed per-feature maximum achievable aggregate values;
         computed from the catalog when omitted.
+
+    Normalised package vectors are memoized by item tuple (at most
+    :data:`VECTOR_MEMO_CAPACITY` of them) as tuples of floats:
+    :meth:`interned_vector` returns the shared tuple, :meth:`vector` a fresh
+    array built from it.
     """
 
     def __init__(
@@ -180,6 +191,7 @@ class PackageEvaluator:
         if (normalisers <= 0).any():
             raise ValueError("normalisers must be strictly positive")
         self.normalisers = normalisers
+        self._vector_memo: Dict[Tuple[int, ...], Tuple[float, ...]] = {}
 
     # ------------------------------------------------------------------ basics
     @property
@@ -194,15 +206,30 @@ class PackageEvaluator:
         values = self.catalog.features[indices]
         return self.profile.aggregate(values)
 
+    def interned_vector(self, package: Package) -> Tuple[float, ...]:
+        """Normalised feature vector of ``package`` as the memo's shared tuple."""
+        memo = self._vector_memo
+        vector = memo.get(package.items)
+        if vector is None:
+            if len(memo) >= VECTOR_MEMO_CAPACITY:
+                memo.clear()
+            vector = memo[package.items] = tuple(
+                (self.raw_aggregate(package) / self.normalisers).tolist()
+            )
+        return vector
+
     def vector(self, package: Package) -> np.ndarray:
-        """Normalised feature vector of ``package`` (each entry in [0, 1])."""
-        return self.raw_aggregate(package) / self.normalisers
+        """Normalised feature vector of ``package`` (each entry in [0, 1]).
+
+        A fresh array on every call: writing to it leaves the memo intact.
+        """
+        return np.array(self.interned_vector(package))
 
     def vectors(self, packages: Sequence[Package]) -> np.ndarray:
         """Normalised feature vectors for a sequence of packages, stacked."""
         if not packages:
             return np.zeros((0, self.num_features))
-        return np.stack([self.vector(p) for p in packages])
+        return np.array([self.interned_vector(p) for p in packages])
 
     def utility(self, package: Package, weights: np.ndarray) -> float:
         """Linear utility ``w · p`` of ``package`` under weight vector ``weights``."""

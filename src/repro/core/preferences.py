@@ -59,7 +59,9 @@ class Preference:
     The normalised feature vectors of both packages are stored so the
     half-space direction ``preferred_vector - other_vector`` is available
     without re-aggregating.  Slotted: a session holds one per unclicked
-    package of every click.
+    package of every click.  Built from an evaluator, both vectors are the
+    evaluator's interned tuples, shared with every other preference (of any
+    session) on the same packages.
     """
 
     __slots__ = ("preferred", "other", "preferred_vector", "other_vector")
@@ -79,8 +81,8 @@ class Preference:
         return cls(
             preferred=preferred,
             other=other,
-            preferred_vector=tuple(evaluator.vector(preferred).tolist()),
-            other_vector=tuple(evaluator.vector(other).tolist()),
+            preferred_vector=evaluator.interned_vector(preferred),
+            other_vector=evaluator.interned_vector(other),
         )
 
     @classmethod
@@ -184,10 +186,10 @@ class PreferenceStore:
     # ------------------------------------------------------------------ adding
     def add(self, preference: Preference) -> bool:
         """Add a single preference; returns True if accepted, False if dropped."""
-        direction = preference.direction
-        if direction.shape[0] != self.num_features:
+        width = len(preference.preferred_vector)
+        if width != self.num_features or len(preference.other_vector) != width:
             raise ValueError(
-                f"preference has {direction.shape[0]} features, "
+                f"preference has {width} features, "
                 f"store expects {self.num_features}"
             )
         src = preference.preferred.package_id
@@ -213,9 +215,10 @@ class PreferenceStore:
         """Record a click: ``clicked ≻ p`` for every other presented package.
 
         Returns the list of preferences that were accepted (cycle-dropped
-        preferences are omitted).  Each package is aggregated once per click.
+        preferences are omitted).  The vectors are the evaluator's interned
+        tuples, so a package it has seen before is not aggregated again.
         """
-        clicked_vector = tuple(evaluator.vector(clicked).tolist())
+        clicked_vector = evaluator.interned_vector(clicked)
         added: List[Preference] = []
         for package in presented:
             if package == clicked:
@@ -224,7 +227,7 @@ class PreferenceStore:
                 preferred=clicked,
                 other=package,
                 preferred_vector=clicked_vector,
-                other_vector=tuple(evaluator.vector(package).tolist()),
+                other_vector=evaluator.interned_vector(package),
             )
             if self.add(preference):
                 added.append(preference)
@@ -236,7 +239,9 @@ class PreferenceStore:
         prefs = self.reduced_preferences() if reduced else self._preferences
         if not prefs:
             return np.zeros((0, self.num_features))
-        return np.stack([p.direction for p in prefs])
+        return np.array([p.preferred_vector for p in prefs]) - np.array(
+            [p.other_vector for p in prefs]
+        )
 
     def satisfies(self, weights: np.ndarray, reduced: bool = True) -> bool:
         """Whether ``weights`` satisfies every stored preference."""
@@ -267,9 +272,8 @@ class PreferenceStore:
         """
         redundant: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
         for src, dsts in self._successors.items():
-            for dst in dsts:
-                if self._reachable_without_edge(src, dst):
-                    redundant.add((src, dst))
+            longer = self._reachable_in_two_or_more(src)
+            redundant.update((src, dst) for dst in dsts if dst in longer)
         kept: List[Preference] = []
         seen_edges: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
         for pref in self._preferences:
@@ -280,25 +284,26 @@ class PreferenceStore:
             kept.append(pref)
         return kept
 
-    def _reachable_without_edge(
-        self, src: Tuple[int, ...], dst: Tuple[int, ...]
-    ) -> bool:
-        """Whether ``dst`` is reachable from ``src`` without using edge (src, dst)."""
+    def _reachable_in_two_or_more(self, src: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
+        """Nodes reachable from ``src`` by a path of at least two edges.
+
+        In a DAG, edge ``src → dst`` has a longer path beside it exactly
+        when ``dst`` is in this set, so one search per source decides every
+        edge out of it.
+        """
+        successors = self._successors
         stack = [
-            nxt
-            for nxt in self._successors.get(src, ())
-            if nxt != dst
+            grandchild
+            for child in successors[src]
+            for grandchild in successors.get(child, ())
         ]
         visited: Set[Tuple[int, ...]] = set(stack)
         while stack:
-            node = stack.pop()
-            if node == dst:
-                return True
-            for nxt in self._successors.get(node, ()):
+            for nxt in successors.get(stack.pop(), ()):
                 if nxt not in visited:
                     visited.add(nxt)
                     stack.append(nxt)
-        return False
+        return visited
 
     def _find_path(
         self, src: Tuple[int, ...], dst: Tuple[int, ...]

@@ -187,11 +187,9 @@ class ConstraintSet:
         if fingerprint is None:
             rounded = np.round(self._directions, FINGERPRINT_PRECISION)
             rounded += 0.0  # normalise -0.0 to +0.0 so signs cannot split keys
-            rows = sorted(tuple(row) for row in rounded.tolist())
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(f"m={self.num_features};c={len(rows)};".encode())
-            for row in rows:
-                digest.update(repr(row).encode())
+            rows = sorted(map(tuple, rounded.tolist()))
+            content = f"m={self.num_features};c={len(rows)};" + "".join(map(repr, rows))
+            digest = hashlib.blake2b(content.encode(), digest_size=16)
             fingerprint = self._fingerprint = digest.hexdigest()
         return fingerprint
 

@@ -65,7 +65,7 @@ import hashlib
 import tempfile
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -174,8 +174,9 @@ class EngineConfig:
     Attributes
     ----------
     elicitation:
-        Per-session recommender configuration (its ``seed`` is replaced by a
-        per-session seed derived from ``seed`` below).
+        Recommender configuration, shared by every session (each session's
+        RNG is seeded with a per-session seed derived from ``seed`` below,
+        not with the configuration's ``seed``).
     max_active_sessions:
         In-memory session capacity; LRU sessions beyond it are swapped out to
         the session store (or dropped when no store is configured).
@@ -590,16 +591,17 @@ class RecommendationEngine:
         return session_id
 
     def _new_entry(self, session_id: str, seed: int) -> SessionEntry:
-        session_config = replace(self.config.elicitation, seed=seed)
-        # The session ranks with the engine's searcher and evaluator: one
-        # set of per-catalog objects, however many sessions are live.
+        # The session ranks with the engine's searcher and evaluator under
+        # the engine's configuration: one set of per-catalog objects, however
+        # many sessions are live.  Only the seed is the session's own.
         recommender = PackageRecommender(
             self.catalog,
             self.profile,
-            config=session_config,
+            config=self.config.elicitation,
             prior=self.prior,
             catalog_predicate=self.catalog_predicate,
             batch_searcher=self.batch_searcher,
+            seed=seed,
         )
         now = self.clock()
         entry = SessionEntry(

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import packages as packages_module
 from repro.core.items import ItemCatalog
-from repro.core.packages import AggregationState, Package, PackageEvaluator
+from repro.core.packages import (
+    VECTOR_MEMO_CAPACITY,
+    AggregationState,
+    Package,
+    PackageEvaluator,
+)
 from repro.core.profiles import AggregateProfile
 
 
@@ -128,6 +134,66 @@ class TestPackageEvaluatorBasics:
             package = small_evaluator.random_package(rng)
             vector = small_evaluator.vector(package)
             assert np.all(vector >= -1e-12) and np.all(vector <= 1.0 + 1e-12)
+
+
+class TestVectorMemo:
+    """Memoized package vectors are the direct aggregation, bit for bit."""
+
+    @pytest.fixture
+    def nullable_evaluator(self):
+        # Every aggregation, a null column, and NaN (null) item values.
+        features = np.random.default_rng(11).random((12, 5))
+        features[np.random.default_rng(12).random((12, 5)) < 0.25] = np.nan
+        profile = AggregateProfile(["sum", "avg", "min", "max", "null"])
+        return PackageEvaluator(ItemCatalog(features), profile, max_package_size=4)
+
+    def test_memoized_vectors_equal_direct_aggregation(self, nullable_evaluator):
+        evaluator = nullable_evaluator
+        rng = np.random.default_rng(13)
+        weights = rng.normal(size=5)
+        for size in range(1, evaluator.max_package_size + 1):
+            for _ in range(15):
+                package = evaluator.random_package(rng, size=size)
+                direct = evaluator.raw_aggregate(package) / evaluator.normalisers
+                for _call in range(2):  # the first call fills the memo
+                    vector = evaluator.vector(package)
+                    assert vector.dtype == direct.dtype
+                    assert vector.tobytes() == direct.tobytes()
+                    assert evaluator.utility(package, weights) == float(direct @ weights)
+                assert evaluator.interned_vector(package) is evaluator.interned_vector(package)
+        packages = [evaluator.random_package(rng) for _ in range(6)]
+        stacked = np.stack(
+            [evaluator.raw_aggregate(p) / evaluator.normalisers for p in packages]
+        )
+        assert evaluator.vectors(packages).tobytes() == stacked.tobytes()
+
+    def test_writing_to_a_returned_vector_leaves_the_memo_intact(self, small_evaluator):
+        package = Package.of([0, 4, 9])
+        first = small_evaluator.vector(package)
+        expected = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(small_evaluator.vector(package), expected)
+        assert small_evaluator.vector(package) is not small_evaluator.vector(package)
+
+    def test_memo_never_exceeds_its_bound(self, small_evaluator):
+        # 30 items, packages of up to 3: 4525 distinct packages, more than
+        # the memo holds.
+        packages = list(small_evaluator.enumerate_packages())
+        assert len(packages) > VECTOR_MEMO_CAPACITY
+        largest = 0
+        for package in packages:
+            small_evaluator.interned_vector(package)
+            largest = max(largest, len(small_evaluator._vector_memo))
+        assert largest == VECTOR_MEMO_CAPACITY
+
+    def test_a_cleared_memo_still_returns_correct_vectors(self, small_evaluator, monkeypatch):
+        monkeypatch.setattr(packages_module, "VECTOR_MEMO_CAPACITY", 4)
+        packages = [Package.of([i, i + 1]) for i in range(10)]
+        for _pass in range(2):
+            for package in packages:
+                direct = small_evaluator.raw_aggregate(package) / small_evaluator.normalisers
+                assert small_evaluator.vector(package).tobytes() == direct.tobytes()
+                assert len(small_evaluator._vector_memo) <= 4
 
 
 class TestIncrementalState:

@@ -290,6 +290,14 @@ class TestConeCache:
                 assert (cached is before) == (not added)
                 fresh = ConstraintSet.from_store(store)
                 assert np.array_equal(cached.directions, fresh.directions)
+                for reduced in (True, False):
+                    # One subtraction of two stacked matrices: the same bits
+                    # as stacking each preference's own direction.
+                    prefs = store.reduced_preferences() if reduced else store.preferences
+                    stacked = np.stack([p.direction for p in prefs])
+                    directions = store.directions(reduced=reduced)
+                    assert directions.shape == stacked.shape
+                    assert directions.tobytes() == stacked.tobytes()
                 assert cached.fingerprint() == fresh.fingerprint()
                 assert cached.fingerprint() == fresh.fingerprint()  # memoized
                 assert cached.fingerprint() is cached.fingerprint()

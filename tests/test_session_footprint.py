@@ -25,8 +25,9 @@ from repro.simulation.traffic import build_user_population, session_seed_for
 #: Traced bytes one identical-prefix session may add over four cache-hit
 #: rounds.  Sessions that each rebuilt the evaluator and searcher and kept
 #: a per-node vector dict measured about 18 KB here; the slim layout about
-#: 10 KB.
-MAX_BYTES_PER_SESSION = 13 * 1024
+#: 10 KB; with the evaluator's interned package vectors and the engine's
+#: shared configuration, 6.7 KB.
+MAX_BYTES_PER_SESSION = 9 * 1024
 
 ROUNDS = 4
 SESSIONS = 200
@@ -75,6 +76,7 @@ class TestSharedPerCatalogObjects:
             recommender = engine.sessions.peek(session_id).recommender
             assert recommender.batch_searcher is engine.batch_searcher
             assert recommender.evaluator is engine.evaluator
+            assert recommender.config is engine.config.elicitation
             # The engine's pool provider serves every pool: neither the
             # session's sampler nor its maintainer was ever built.
             assert "sampler" not in vars(recommender)
@@ -91,6 +93,14 @@ class TestSharedPerCatalogObjects:
         assert isinstance(vars(one)["sampler"], MetropolisHastingsSampler)
         one.feedback(round_.presented[0])  # maintains it: builds the maintainer
         assert vars(one)["_maintainer"].sampler is one.sampler
+
+    def test_a_seed_beside_the_config_overrides_its_seed(self, catalog):
+        profile = default_profile(4)
+        passed = PackageRecommender(catalog, profile, _elicitation(seed=None), seed=5)
+        configured = PackageRecommender(catalog, profile, _elicitation(seed=5))
+        assert passed.rng.bit_generator.state == configured.rng.bit_generator.state
+        overridden = PackageRecommender(catalog, profile, _elicitation(seed=9), seed=5)
+        assert overridden.rng.bit_generator.state == configured.rng.bit_generator.state
 
     def test_a_foreign_searcher_is_rejected(self, catalog):
         engine = _engine(catalog)
