@@ -352,15 +352,25 @@ class PackageRecommender:
     def constraints(self) -> ConstraintSet:
         """The current feedback constraints (transitively reduced).
 
-        One :class:`ConstraintSet` is built per state of the preference
-        store, so every reader between two clicks shares it and its
-        fingerprint.  The store only grows, so its length identifies its
-        state.
+        One :class:`ConstraintSet` is shared per click history: it comes
+        from the evaluator's cone memo, keyed by the accepted preference
+        edges, so every reader between two clicks, and every recommender
+        over the same evaluator with the same history, shares it and its
+        fingerprint.  A store holding preferences from elsewhere (a
+        snapshot blob) has no key and builds its own.  The store only
+        grows, so its length identifies its state.
         """
         store = self.preferences
         cached = self._constraints_cache
         if cached is None or cached[0] is not store or cached[1] != len(store):
-            cached = (store, len(store), ConstraintSet.from_store(store))
+            key = store.cone_key(self.evaluator)
+            if key is None:
+                constraints = ConstraintSet.from_store(store)
+            else:
+                constraints = self.evaluator.memoized_cone(
+                    key, lambda: ConstraintSet.from_store(store)
+                )
+            cached = (store, len(store), constraints)
             self._constraints_cache = cached
         return cached[2]
 

@@ -40,6 +40,10 @@ class PreferenceCycleError(ValueError):
 
 _placeholder_counter = 0
 
+#: PreferenceStore's vector source once its preferences are not all one
+#: evaluator's interned vectors.
+_MIXED_VECTORS = object()
+
 
 def _next_placeholder_package() -> Package:
     """A unique synthetic package id for vector-only preferences.
@@ -160,6 +164,9 @@ class PreferenceStore:
         # with an out-edge have an entry; a sink appears as a successor only.
         self._successors: Dict[Tuple[int, ...], Set[Tuple[int, ...]]] = {}
         self._dropped = 0
+        # The evaluator whose interned vectors every accepted preference
+        # holds (None while none is accepted), or _MIXED_VECTORS.
+        self._vector_source: object = None
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
@@ -186,6 +193,14 @@ class PreferenceStore:
     # ------------------------------------------------------------------ adding
     def add(self, preference: Preference) -> bool:
         """Add a single preference; returns True if accepted, False if dropped."""
+        if not self._accept(preference):
+            return False
+        # Its vectors may come from anywhere (Preference.from_vectors, a
+        # snapshot blob): the store's edges no longer fix its cone.
+        self._vector_source = _MIXED_VECTORS
+        return True
+
+    def _accept(self, preference: Preference) -> bool:
         width = len(preference.preferred_vector)
         if width != self.num_features or len(preference.other_vector) != width:
             raise ValueError(
@@ -229,11 +244,31 @@ class PreferenceStore:
                 preferred_vector=clicked_vector,
                 other_vector=evaluator.interned_vector(package),
             )
-            if self.add(preference):
+            if self._accept(preference):
                 added.append(preference)
+        if added and self._vector_source is not evaluator:
+            self._vector_source = (
+                evaluator if self._vector_source is None else _MIXED_VECTORS
+            )
         return added
 
     # ---------------------------------------------------------------- querying
+    def cone_key(self, evaluator: PackageEvaluator) -> Optional[tuple]:
+        """The accepted edges in insertion order, if they fix the cone.
+
+        The reduced cone is a function of the accepted edges, their order
+        and their vectors.  When every accepted preference came from
+        :meth:`add_click_feedback` with ``evaluator``, the vectors are that
+        evaluator's, a function of the packages alone, so the edges
+        ``(preferred.items, other.items)`` fix the cone bit for bit: the key
+        of ``evaluator``'s cone memo.  ``None`` when some preference came
+        another way (:meth:`add`, another evaluator).
+        """
+        preferences = self._preferences
+        if preferences and self._vector_source is not evaluator:
+            return None
+        return tuple([(p.preferred.items, p.other.items) for p in preferences])
+
     def directions(self, reduced: bool = True) -> np.ndarray:
         """Matrix of half-space normals, one row per (optionally reduced) preference."""
         prefs = self.reduced_preferences() if reduced else self._preferences

@@ -117,24 +117,17 @@ class TestConstraintFingerprint:
 
 
 class TestConeOncePerClick:
-    """A batch of cache-hit sessions derives each session's cone once per click."""
+    """An engine derives each distinct click history's cone once.
 
-    @pytest.mark.parametrize("pool_shards", [1, 4])
-    def test_recommend_many_derives_each_fingerprint_once(
-        self, serving_catalog, serving_profile, monkeypatch, pool_shards
-    ):
+    The engine's evaluator memoizes cones by click history, so a session
+    that reaches a history another session already built neither reduces
+    its preferences nor fingerprints the cone again.
+    """
+
+    @staticmethod
+    def _count_derivations(monkeypatch):
+        """Lists that grow by one per cone fingerprinted and per cone built."""
         import repro.sampling.base as base
-
-        engine = make_engine(serving_catalog, serving_profile, pool_shards=pool_shards)
-        ids = [engine.create_session(seed=5) for _ in range(4)]
-        # One warm-up session walks round 1 -> click -> round 2, so every
-        # pool and top-k list the others need next is already cached.
-        engine.recommend(ids[0])
-        engine.feedback(ids[0], 0)
-        engine.recommend(ids[0])
-        engine.recommend_many(ids[1:])
-        for session_id in ids[1:]:
-            engine.feedback(session_id, 0)
 
         derived = []
         blake2b = base.hashlib.blake2b
@@ -156,20 +149,53 @@ class TestConeOncePerClick:
         monkeypatch.setattr(
             ConstraintSet, "from_store", classmethod(counting_from_store)
         )
+        return derived, built
+
+    @pytest.mark.parametrize("pool_shards", [1, 4])
+    def test_recommend_many_derives_each_fingerprint_once(
+        self, serving_catalog, serving_profile, monkeypatch, pool_shards
+    ):
+        engine = make_engine(serving_catalog, serving_profile, pool_shards=pool_shards)
+        ids = [engine.create_session(seed=5) for _ in range(4)]
+        # One warm-up session walks round 1 -> click -> round 2, so every
+        # cone, pool and top-k list the others need is already built.
+        engine.recommend(ids[0])
+        engine.feedback(ids[0], 0)
+        engine.recommend(ids[0])
+
+        derived, built = self._count_derivations(monkeypatch)
         before = engine.stats()
+        engine.recommend_many(ids[1:])
+        for session_id in ids[1:]:
+            engine.feedback(session_id, 0)
         rounds = engine.recommend_many(ids[1:])
         after = engine.stats()
         assert all(round_.presented for round_ in rounds)
         assert after.pool_cache["misses"] == before.pool_cache["misses"]
         assert after.pools_built == before.pools_built
-        assert len(derived) == len(ids) - 1
-        assert len(built) == len(ids) - 1
+        assert derived == [] and built == []
+        cone = engine.sessions.peek(ids[0]).recommender.constraints
+        for session_id in ids[1:]:
+            assert engine.sessions.peek(session_id).recommender.constraints is cone
 
         # Without a new click nothing is derived again.
-        derived.clear()
-        built.clear()
         engine.recommend_many(ids[1:])
         assert derived == [] and built == []
+
+    def test_distinct_histories_derive_one_cone_each(
+        self, serving_catalog, serving_profile, monkeypatch
+    ):
+        engine = make_engine(serving_catalog, serving_profile)
+        ids = [engine.create_session(seed=5) for _ in range(4)]
+        # One seed: every session is shown the same first round, and
+        # clicking a different package of it gives each its own history.
+        engine.recommend_many(ids)
+        derived, built = self._count_derivations(monkeypatch)
+        for index, session_id in enumerate(ids):
+            engine.feedback(session_id, index)
+        engine.recommend_many(ids)
+        assert len(derived) == len(ids)
+        assert len(built) == len(ids)
 
 
 # ==================================================================== caches

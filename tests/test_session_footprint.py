@@ -2,9 +2,10 @@
 
 An engine keeps every session resident up to ``max_active_sessions``, so
 per-session bytes set the serving process's peak memory.  The engine's
-sessions share the engine's evaluator and batch searcher, build no sampler
-or §3.4 maintainer they never use, and hold a slim preference DAG; a
-standalone :class:`PackageRecommender` still builds its own objects.
+sessions share the engine's evaluator and batch searcher (and through the
+evaluator one cone per click history), build no sampler or §3.4
+maintainer they never use, and hold a slim preference DAG; a standalone
+:class:`PackageRecommender` still builds its own objects.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from repro.simulation.traffic import build_user_population, session_seed_for
 #: rounds.  Sessions that each rebuilt the evaluator and searcher and kept
 #: a per-node vector dict measured about 18 KB here; the slim layout about
 #: 10 KB; with the evaluator's interned package vectors and the engine's
-#: shared configuration, 6.7 KB.
-MAX_BYTES_PER_SESSION = 9 * 1024
+#: shared configuration, 6.7 KB; with one cone per click history shared
+#: through the evaluator's cone memo, 5.9 KB.
+MAX_BYTES_PER_SESSION = 8 * 1024
 
 ROUNDS = 4
 SESSIONS = 200
