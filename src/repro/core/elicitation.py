@@ -275,6 +275,10 @@ class PackageRecommender:
                 "batch_searcher must search this catalog with packages of at "
                 f"most max_package_size={self.config.max_package_size} items"
             )
+        elif batch_searcher.catalog_predicate is not catalog_predicate:
+            raise ValueError(
+                "batch_searcher must have been built with this catalog_predicate"
+            )
         # The pool-wide top-k queries walk the sorted lists once for all
         # samples.
         self.batch_searcher = batch_searcher
@@ -300,15 +304,12 @@ class PackageRecommender:
         )
         self.preferences = PreferenceStore(catalog.num_features, on_cycle="drop")
         self.catalog_predicate = catalog_predicate
-        if catalog_predicate is None:
-            self._eligible_items = None
-        else:
-            mask = catalog_predicate.eligible_mask(catalog)
-            self._eligible_items = [int(i) for i in np.flatnonzero(mask)]
-            if not self._eligible_items:
-                raise ValueError(
-                    "catalog_predicate eliminates every item; nothing to recommend"
-                )
+        # The searcher's read-only array: sessions sharing a searcher share it.
+        self._eligible_items = batch_searcher.eligible_items
+        if self._eligible_items is not None and self._eligible_items.size == 0:
+            raise ValueError(
+                "catalog_predicate eliminates every item; nothing to recommend"
+            )
         self._pool: Optional[SamplePool] = None
         self._stale_pool: Optional[SamplePool] = None
         self._pool_provider: Optional[PoolProvider] = None

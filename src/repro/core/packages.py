@@ -339,16 +339,24 @@ class PackageEvaluator:
         size: Optional[int] = None,
         item_indices: Optional[Sequence[int]] = None,
     ) -> Package:
-        """Draw a uniformly random package of the given (or random) size."""
-        generator = ensure_rng(rng)
-        pool = (
-            np.asarray(item_indices, dtype=int)
-            if item_indices is not None
-            else np.arange(self.catalog.num_items)
-        )
-        if pool.size == 0:
+        """Draw a uniformly random package of the given (or random) size.
+
+        ``item_indices`` restricts the draw to those items; an integer array
+        is used as it is, so a caller drawing often should pass one.
+        The draw is ``Generator.choice`` over positions, which is what
+        ``choice`` over an array does too: the result and the generator's
+        state after it are the same either way.
+        """
+        generator = rng if isinstance(rng, np.random.Generator) else ensure_rng(rng)
+        if item_indices is None:
+            pool = None
+            pool_size = self.catalog.num_items
+        else:
+            pool = np.asarray(item_indices, dtype=int)
+            pool_size = pool.size
+        if pool_size == 0:
             raise ValueError("cannot draw a package from an empty item pool")
-        max_size = min(self.max_package_size, pool.size)
+        max_size = min(self.max_package_size, pool_size)
         chosen_size = (
             int(size) if size is not None else int(generator.integers(1, max_size + 1))
         )
@@ -356,8 +364,11 @@ class PackageEvaluator:
             raise ValueError(
                 f"size must be between 1 and {max_size}, got {chosen_size}"
             )
-        picked = generator.choice(pool, size=chosen_size, replace=False)
-        return Package.of(picked.tolist())
+        picked = generator.choice(pool_size, size=chosen_size, replace=False).tolist()
+        if pool is not None:
+            # Repeated indices collapse, as they would in ``Package.of``.
+            picked = set(pool[picked].tolist())
+        return Package(tuple(sorted(picked)))
 
     def random_packages(
         self,

@@ -229,6 +229,11 @@ class SamplePool:
     samples: np.ndarray
     weights: np.ndarray
     stats: dict = field(default_factory=dict)
+    #: ``(samples, weights, digest)`` once :meth:`content_digest` has hashed
+    #: read-only arrays.
+    _digest_memo: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -277,6 +282,25 @@ class SamplePool:
                 return self.weights
             return np.full(self.size, 1.0 / self.size)
         return self.weights / total
+
+    def content_digest(self) -> str:
+        """Content hash (blake2b, 128 bits) of the samples and the weights.
+
+        Memoized once both arrays are read-only, as the serving engine makes
+        every pool it stamps: nothing can write them then, so the pool is
+        hashed once however often it is checkpointed or restored.
+        """
+        frozen = not (self.samples.flags.writeable or self.weights.flags.writeable)
+        memo = self._digest_memo
+        if frozen and memo is not None and memo[0] is self.samples and memo[1] is self.weights:
+            return memo[2]
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(np.ascontiguousarray(self.samples).tobytes())
+        digest.update(np.ascontiguousarray(self.weights).tobytes())
+        value = digest.hexdigest()
+        if frozen:
+            self._digest_memo = (self.samples, self.weights, value)
+        return value
 
     def copy(self) -> "SamplePool":
         """An independent deep copy of the pool (samples, weights and stats)."""

@@ -158,8 +158,10 @@ class FillContext:
 #: backend's worker initializer registers it worker-side.
 _CONTEXTS: Dict[str, FillContext] = {}
 
-#: Built mixtures cached per context digest, so repeated fills do not pay the
-#: scipy frozen-distribution construction on every call.
+#: Built mixtures cached per context digest.  A mixture builds its SciPy
+#: density components on its first density call (an MCMC fallback), so the
+#: fills of one context build them at most once, and a process whose fills
+#: never evaluate a density never loads SciPy.
 _MIXTURES: Dict[str, GaussianMixture] = {}
 
 

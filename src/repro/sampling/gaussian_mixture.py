@@ -5,14 +5,19 @@ Gaussians, since a mixture can approximate any density (§2.1, citing Bishop).
 This module is a small, self-contained mixture implementation (density,
 log-density, sampling, component responsibilities) — the substrate the
 samplers in this package build on.
+
+Sampling is NumPy only.  The densities come from SciPy's frozen
+``multivariate_normal`` components, which are built (and ``scipy.stats``
+imported) on the first density call: a process that only samples the prior,
+such as a server answering cache-hit rounds, never loads SciPy.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import cached_property
+from typing import List, Optional
 
 import numpy as np
-from scipy.stats import multivariate_normal
 
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_matrix, require_vector
@@ -52,10 +57,7 @@ class GaussianMixture:
         if total <= 0:
             raise ValueError("mixture weights must not all be zero")
         self.weights = weights / total
-        self._components = [
-            multivariate_normal(mean=self.means[k], cov=self.covariances[k], allow_singular=False)
-            for k in range(num_components)
-        ]
+        self._require_positive_definite(self.covariances)
 
     @staticmethod
     def _normalise_covariances(covariances, num_components: int, dimension: int) -> np.ndarray:
@@ -76,6 +78,40 @@ class GaussianMixture:
             f"array, or a ({num_components}, {dimension}, {dimension}) array; "
             f"got shape {np.shape(covariances)}"
         )
+
+    @staticmethod
+    def _require_positive_definite(covariances: np.ndarray) -> None:
+        """Reject a singular or indefinite covariance, as SciPy would.
+
+        The test is the one ``multivariate_normal(..., allow_singular=False)``
+        applies: eigenvalues of the lower triangle, with any eigenvalue at or
+        below ``1e6 * eps * max|eigenvalue|`` counted as zero.  It runs here
+        so a bad prior fails at construction, not at its first density.
+        """
+        if not np.isfinite(covariances).all():
+            raise ValueError("covariances must not contain infs or NaNs")
+        tolerance_factor = 1e6 * np.finfo(float).eps
+        for k, spectrum in enumerate(np.linalg.eigvalsh(covariances)):
+            tolerance = tolerance_factor * np.max(np.abs(spectrum))
+            if spectrum.min() < -tolerance:
+                raise ValueError(
+                    f"covariance {k} is not symmetric positive semidefinite"
+                )
+            if (spectrum <= tolerance).any():
+                raise np.linalg.LinAlgError(
+                    f"covariance {k} is singular; it must be symmetric "
+                    f"positive definite"
+                )
+
+    @cached_property
+    def _components(self) -> List:
+        """The frozen SciPy components, built on the first density call."""
+        from scipy.stats import multivariate_normal
+
+        return [
+            multivariate_normal(mean=self.means[k], cov=self.covariances[k], allow_singular=False)
+            for k in range(self.num_components)
+        ]
 
     # ------------------------------------------------------------------ basics
     @property

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.stats import multivariate_normal
 
 from repro.index.grid import GridTooLargeError, WeightSpaceGrid
 from repro.sampling.base import ConstraintSet, SamplePool, Sampler
@@ -108,6 +107,8 @@ class ImportanceSampler(Sampler):
 
     def build_proposal(self, constraints: ConstraintSet):
         """The Gaussian proposal distribution ``Qw ~ N(w*, proposal_std² I)``."""
+        from scipy.stats import multivariate_normal
+
         center = self.approximate_center(constraints)
         covariance = np.eye(self.num_features) * self.proposal_std**2
         return multivariate_normal(mean=center, cov=covariance)

@@ -674,10 +674,14 @@ class RecommendationEngine:
         The top-k cache keys on (pool key, build); a pool evicted from the
         repository and later rebuilt gets a new generation, so stale top-k
         results computed from the evicted pool can never be served against
-        the rebuilt one.
+        the rebuilt one.  The pool's arrays become read-only, so its
+        :meth:`~repro.sampling.base.SamplePool.content_digest` is computed
+        once however often sessions holding it are checkpointed.
         """
         self._pool_build_counter += 1
         pool.stats["pool_build"] = self._pool_build_counter
+        pool.samples.flags.writeable = False
+        pool.weights.flags.writeable = False
         return pool
 
     def _provide_pool(self, entry: SessionEntry) -> SamplePool:
@@ -1234,20 +1238,6 @@ class RecommendationEngine:
         """SessionManager's touch_fn: clean swap-outs log true last access."""
         self.event_log.log_touch(entry.session_id, last_access=entry.last_access)
 
-    def _pool_digest(self, pool: SamplePool) -> str:
-        """Content hash of a pool's samples and weights.
-
-        A fingerprint key does *not* uniquely identify pool content: a
-        maintained pool depends on its session's history, and an evicted key
-        re-fills to the fresh key-deterministic build.  Reference snapshots
-        therefore carry the digest too, so restore can tell whether whatever
-        currently sits under the key is the pool the snapshot captured.
-        """
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(np.ascontiguousarray(pool.samples).tobytes())
-        digest.update(np.ascontiguousarray(pool.weights).tobytes())
-        return digest.hexdigest()
-
     def _pool_store_key(self, key: str, digest: str) -> str:
         """Pool-table key: fingerprint key plus content digest.
 
@@ -1269,7 +1259,12 @@ class RecommendationEngine:
                 "samples": pool.samples.tolist(),
                 "weights": pool.weights.tolist(),
             }
-        pool_digest = self._pool_digest(pool)
+        # A fingerprint key does *not* uniquely identify pool content: a
+        # maintained pool depends on its session's history, and an evicted
+        # key re-fills to the fresh key-deterministic build.  Reference
+        # payloads therefore carry the content digest too, so restore can
+        # tell whether whatever sits under the key is the pool captured.
+        pool_digest = pool.content_digest()
         self._persist_pool(self._pool_store_key(entry.pool_key, pool_digest), pool)
         payload = {"key": entry.pool_key, "digest": pool_digest}
         refill = pool.stats.get("partial_refill")
@@ -1489,7 +1484,7 @@ class RecommendationEngine:
         if (
             pool is not None
             and digest is not None
-            and self._pool_digest(pool) != digest
+            and pool.content_digest() != digest
         ):
             pool = None  # same fingerprint, different build: not our pool
         if pool is None and self.store is not None:

@@ -58,6 +58,25 @@ REPLAY_PAYLOAD_VERSION = 1
 #: Frame header preceding every record: ``(payload_length, crc32(payload))``.
 _FRAME = struct.Struct("<II")
 _SEGMENT_RE = re.compile(r"^(\d{8})\.log$")
+_CONTAINERS = {dict, list, tuple}
+
+
+def _copy_containers(value):
+    """A copy of a JSON-shaped dict or list: new containers, shared scalars.
+
+    Strings and numbers are immutable, so only the dicts and lists a caller
+    could mutate are copied; tuples become lists, as a JSON round trip
+    would make them.
+    """
+    if type(value) is dict:
+        return {
+            key: _copy_containers(item) if type(item) in _CONTAINERS else item
+            for key, item in value.items()
+        }
+    return [
+        _copy_containers(item) if type(item) in _CONTAINERS else item
+        for item in value
+    ]
 
 
 class EventLogCorruptionError(RuntimeError):
@@ -547,7 +566,8 @@ class EventLogStore(SessionStore):
         }
         if record.last_access is not None:
             payload["_last_access"] = record.last_access
-        return json.loads(json.dumps(payload))
+        # The index keeps the events and checkpoints: hand out a copy.
+        return _copy_containers(payload)
 
     def delete(self, session_id: str) -> bool:
         record = self._records.get(session_id)

@@ -212,6 +212,10 @@ class BatchTopKPackageSearcher:
         self.max_items_accessed = max_items_accessed
         self._null_columns = evaluator.catalog.null_mask.any(axis=0)
         self.catalog_predicate = catalog_predicate
+        #: The eligible item indices as one read-only array (``None`` without
+        #: a predicate): every recommender sharing this searcher draws its
+        #: exploration packages from it.
+        self.eligible_items: Optional[np.ndarray] = None
         if catalog_predicate is None:
             self._eligible_mask: Optional[np.ndarray] = None
         else:
@@ -224,6 +228,8 @@ class BatchTopKPackageSearcher:
                     f"{mask.shape}, expected ({evaluator.catalog.num_items},)"
                 )
             self._eligible_mask = mask
+            self.eligible_items = np.flatnonzero(mask)
+            self.eligible_items.flags.writeable = False
         self._order_source = FilteredOrderSource(
             evaluator.catalog, self._eligible_mask
         )

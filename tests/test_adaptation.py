@@ -314,7 +314,7 @@ class TestEngineAdaptation:
             entry.recommender.constraints,
             entry.recommender.config.num_samples,
         )
-        assert engine._pool_digest(pool) != engine._pool_digest(fresh)
+        assert pool.content_digest() != fresh.content_digest()
 
     def test_recommend_many_prefetch_adapts(
         self, serving_catalog, serving_profile

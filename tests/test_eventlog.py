@@ -21,6 +21,7 @@ import pytest
 from repro.core.elicitation import ElicitationConfig
 from repro.core.items import ItemCatalog
 from repro.core.profiles import AggregateProfile
+from repro.sampling.base import SamplePool
 from repro.service import (
     EngineConfig,
     EventLog,
@@ -316,6 +317,37 @@ class TestEventLogStore:
         assert store.load("s1") == second
         store.close()
 
+    def test_mutating_a_loaded_payload_leaves_the_next_load_unchanged(
+        self, tmp_path
+    ):
+        # Every container of a loaded payload is the caller's own: writes at
+        # any depth, into events, the checkpoint or a blob base, never reach
+        # the store's index.
+        store = log_store(tmp_path)
+        store.log_session_created("s1", seed=7, created_at=1.0)
+        store.log_round_served("s1", recommended=[[0, 2]], random_packages=[[1]])
+        store.save("s1", {"kind": "eventlog-checkpoint", "seed": 7,
+                          "pool": {"key": "k", "digest": "d", "pending": True}})
+        store.log_feedback("s1", clicked=[0, 2])
+        blob = {"version": 2, "session_id": "ext", "seed": 3, "created_at": 0.5,
+                "rng_state": {"state": {"state": 123, "inc": 5}}, "pool": None,
+                "preferences": [{"preferred": [1], "other": [2]}]}
+        store.save("ext", blob)
+        expected = {sid: store.load(sid) for sid in ("s1", "ext")}
+        first = store.load("s1")
+        first["events"][0]["recommended"][0].append(99)
+        first["events"][0]["random"].clear()
+        first["events"][1]["clicked"] = []
+        first["checkpoint"]["pool"]["digest"] = "tampered"
+        first["log_position"][1] = -1
+        imported = store.load("ext")
+        imported["base"]["rng_state"]["state"]["state"] = 0
+        imported["base"]["preferences"][0]["preferred"].append(7)
+        assert store.load("s1") == expected["s1"]
+        assert store.load("ext") == expected["ext"]
+        assert expected["s1"]["events"][0]["recommended"] == [[0, 2]]
+        store.close()
+
     def test_pool_table_and_gc_from_live_refs(self, tmp_path):
         store = log_store(tmp_path)
         store.save_pool("k1#d1", {"samples": [[0.1]], "weights": [1.0]})
@@ -416,6 +448,28 @@ def run_workload(engine, session_ids, rounds=3, click=0):
 
 
 class TestReplayRestore:
+    def test_served_pools_are_read_only_and_hashed_once(
+        self, serving_catalog, serving_profile, tmp_path
+    ):
+        # The engine freezes every pool it stamps, so a checkpoint's content
+        # digest is computed once per pool, not once per swap-out.
+        store = log_store(tmp_path)
+        engine = make_engine(
+            serving_catalog, serving_profile, store=store, max_active_sessions=1
+        )
+        first, second = engine.create_session(seed=1), engine.create_session(seed=1)
+        engine.recommend(first)
+        pool = engine.sessions.peek(first).recommender.pending_pool
+        assert not pool.samples.flags.writeable and not pool.weights.flags.writeable
+        with pytest.raises(ValueError):
+            pool.weights[0] = 0.0
+        engine.recommend(second)  # swaps ``first`` out: its checkpoint hashes
+        memo = pool._digest_memo
+        assert memo[2] == SamplePool(pool.samples.copy(), pool.weights.copy()).content_digest()
+        engine.recommend(first)  # swaps ``second`` out over the same pool
+        assert pool._digest_memo is memo
+        store.close()
+
     def test_swap_out_replay_serves_bit_identical_rounds(
         self, serving_catalog, serving_profile, tmp_path
     ):

@@ -248,6 +248,30 @@ class TestEnumerationAndRandom:
             assert 1 <= package.size <= small_evaluator.max_package_size
             assert all(0 <= i < 30 for i in package)
 
+    @pytest.mark.parametrize(
+        "item_indices",
+        [None, np.array([0, 3, 4, 9, 12, 17, 21, 29]), [2, 5, 5, 8], (7, 1)],
+        ids=["all items", "index array", "repeated indices", "index tuple"],
+    )
+    def test_random_package_matches_choice_over_an_index_array(
+        self, small_evaluator, item_indices
+    ):
+        # The draw is bit-identical to ``choice`` over an explicit index
+        # array followed by ``Package.of``, and leaves the generator in the
+        # same state, so served exploration packages do not move.
+        num_items = small_evaluator.catalog.num_items
+        pool = np.arange(num_items) if item_indices is None else np.asarray(item_indices)
+        max_size = min(small_evaluator.max_package_size, pool.size)
+        for seed in range(200):
+            drawn, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                size = int(expected.integers(1, max_size + 1))
+                reference = Package.of(expected.choice(pool, size=size, replace=False))
+                package = small_evaluator.random_package(drawn, item_indices=item_indices)
+                assert package == reference
+                assert all(type(i) is int for i in package.items)
+            assert drawn.bit_generator.state == expected.bit_generator.state
+
     def test_random_package_fixed_size(self, small_evaluator):
         package = small_evaluator.random_package(0, size=2)
         assert package.size == 2

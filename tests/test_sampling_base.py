@@ -1,5 +1,7 @@
 """Tests for ConstraintSet and SamplePool."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,25 @@ class TestConstraintSet:
 
 
 class TestSamplePool:
+    def test_content_digest_is_memoized_only_while_read_only(self):
+        samples = np.random.default_rng(0).random((6, 3))
+        pool = SamplePool(samples, np.ones(6))
+        writable = pool.content_digest()
+        pool.weights[0] = 2.0  # writable arrays are hashed on every call
+        assert pool.content_digest() != writable
+        assert pool._digest_memo is None
+        pool.samples.flags.writeable = False
+        pool.weights.flags.writeable = False
+        frozen = pool.content_digest()
+        assert pool._digest_memo[2] == frozen
+        assert SamplePool(samples.copy(), pool.weights.copy()).content_digest() == frozen
+        # A deep copy carries the memo but its arrays are writable again.
+        thawed = copy.deepcopy(pool)
+        thawed.weights[0] = 1.0
+        assert thawed.content_digest() == writable
+        pool.weights = np.ones(6)  # a new array is hashed afresh
+        assert pool.content_digest() == writable
+
     def test_unweighted_pool(self):
         pool = SamplePool.unweighted(np.zeros((5, 3)))
         assert pool.size == 5

@@ -1018,7 +1018,7 @@ class TestSnapshotCompaction:
             restarted.pool_repository.fill_one(key, constraints, count)
         )
         restarted.pool_repository.put(key, fresh)
-        assert restarted._pool_digest(fresh) != payload["pool"]["digest"]
+        assert fresh.content_digest() != payload["pool"]["digest"]
 
         assert presented_items(restarted.recommend(sid)) == expected
         # The mismatched repository build was left in place for its sharers.

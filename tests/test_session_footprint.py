@@ -18,6 +18,8 @@ import pytest
 
 from repro.core.elicitation import ElicitationConfig, PackageRecommender
 from repro.core.items import ItemCatalog
+from repro.core.packages import Package
+from repro.data.columnar import NumericRangePredicate
 from repro.experiments.harness import default_profile
 from repro.sampling.mcmc import MetropolisHastingsSampler
 from repro.service import EngineConfig, RecommendationEngine
@@ -123,24 +125,121 @@ class TestSharedPerCatalogObjects:
             )
 
 
+def _bytes_per_cache_hit_session(engine, sessions: int = SESSIONS) -> float:
+    """Traced bytes each identical-prefix session adds after a warm-up."""
+    users = build_user_population(engine.evaluator, sessions + 1, True, 0)
+    _serve(engine, users[0])  # warm-up: every later round hits both caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for user in users[1:]:
+            _serve(engine, user)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert engine.stats().pools_built == ROUNDS  # only the warm-up built
+    return (after - before) / sessions
+
+
 class TestSessionFootprint:
     def test_cache_hit_sessions_stay_under_the_memory_budget(self, catalog):
-        engine = _engine(catalog)
-        users = build_user_population(engine.evaluator, SESSIONS + 1, True, 0)
-        _serve(engine, users[0])  # warm-up: every later round hits both caches
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for user in users[1:]:
-                _serve(engine, user)
-            gc.collect()
-            after = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert engine.stats().pools_built == ROUNDS  # only the warm-up built
-        per_session = (after - before) / SESSIONS
+        per_session = _bytes_per_cache_hit_session(_engine(catalog))
         assert per_session < MAX_BYTES_PER_SESSION, (
             f"{per_session / 1024:.1f} KB per live session exceeds the "
             f"{MAX_BYTES_PER_SESSION / 1024:.0f} KB budget"
         )
+
+
+class TestPredicateSessions:
+    """An engine's catalog predicate is evaluated once, not per session.
+
+    Sessions draw their exploration packages from the engine searcher's
+    read-only eligible-item array.  A list per session cost 395 KB and
+    11.5 ms per session (and per replay restore) on a 20k-item catalog.
+    """
+
+    @pytest.fixture
+    def predicate(self):
+        return NumericRangePredicate(0, high=0.5)
+
+    @pytest.fixture
+    def large_catalog(self) -> ItemCatalog:
+        return ItemCatalog(np.random.default_rng(0).random((4000, 4)))
+
+    def _engine(self, catalog, predicate) -> RecommendationEngine:
+        return RecommendationEngine(
+            catalog,
+            default_profile(4),
+            EngineConfig(elicitation=_elicitation()),
+            catalog_predicate=predicate,
+        )
+
+    def test_sessions_share_one_read_only_eligible_array(
+        self, large_catalog, predicate
+    ):
+        engine = self._engine(large_catalog, predicate)
+        eligible = engine.batch_searcher.eligible_items
+        assert np.array_equal(
+            eligible, np.flatnonzero(predicate.eligible_mask(large_catalog))
+        )
+        assert not eligible.flags.writeable
+        user = build_user_population(engine.evaluator, 1, True, 0)[0]
+        eligible_set = set(eligible.tolist())
+        for session_id in (_serve(engine, user), _serve(engine, user)):
+            recommender = engine.sessions.peek(session_id).recommender
+            assert recommender._eligible_items is eligible
+            for package in recommender.last_round.presented:
+                assert set(package.items) <= eligible_set
+
+    def test_a_predicate_session_stays_under_the_memory_budget(
+        self, large_catalog, predicate
+    ):
+        engine = self._engine(large_catalog, predicate)
+        per_session = _bytes_per_cache_hit_session(engine, sessions=50)
+        assert per_session < MAX_BYTES_PER_SESSION, (
+            f"{per_session / 1024:.1f} KB per predicate session exceeds the "
+            f"{MAX_BYTES_PER_SESSION / 1024:.0f} KB budget"
+        )
+
+    def test_exploration_draws_equal_choice_over_the_eligible_list(
+        self, large_catalog, predicate
+    ):
+        recommender = PackageRecommender(
+            large_catalog,
+            default_profile(4),
+            _elicitation(),
+            catalog_predicate=predicate,
+            seed=11,
+        )
+        eligible = [int(i) for i in np.flatnonzero(predicate.eligible_mask(large_catalog))]
+        recommended = [Package.of(eligible[:2])]
+        for _ in range(5):
+            reference = np.random.default_rng()
+            reference.bit_generator.state = recommender.rng.bit_generator.state
+            round_ = recommender.recommend(recommended=recommended)
+            expected, exclude = [], {recommended[0].items}
+            while len(expected) < 2:
+                size = int(reference.integers(1, 4))
+                package = Package.of(
+                    reference.choice(np.asarray(eligible), size=size, replace=False)
+                )
+                if package.items not in exclude:
+                    exclude.add(package.items)
+                    expected.append(package)
+            assert round_.random_packages == expected
+            assert recommender.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_searcher_built_with_another_predicate_is_rejected(
+        self, large_catalog, predicate
+    ):
+        engine = self._engine(large_catalog, predicate)
+        with pytest.raises(ValueError, match="catalog_predicate"):
+            PackageRecommender(
+                large_catalog,
+                default_profile(4),
+                _elicitation(),
+                catalog_predicate=NumericRangePredicate(0, high=0.5),
+                batch_searcher=engine.batch_searcher,
+            )
