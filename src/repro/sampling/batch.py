@@ -140,17 +140,18 @@ class BatchRejectionSampler(Sampler):
                 if accepted[i]
                 else np.zeros((0, self.num_features))
             )
-            fell_back = False
-            if filled[i] < counts[i] and self.fallback is not None:
-                remainder = self.fallback.sample(counts[i] - filled[i], constraints)
-                rows = np.vstack([rows, remainder.samples]) if rows.size else remainder.samples
-                fell_back = True
             stats = {
                 "sampler": self.short_name,
                 "blocks_drawn": blocks_drawn,
                 "candidates_drawn": candidates_drawn,
                 "shared_sets": len(constraint_sets),
-                "fell_back": fell_back,
+                "fell_back": False,
             }
+            if filled[i] < counts[i] and self.fallback is not None:
+                remainder = self.fallback.sample(counts[i] - filled[i], constraints)
+                rows = np.vstack([rows, remainder.samples]) if rows.size else remainder.samples
+                stats["fell_back"] = True
+                if "chain_seed" in remainder.stats:
+                    stats["chain_seed"] = remainder.stats["chain_seed"]
             pools.append(SamplePool.unweighted(rows, stats))
         return pools

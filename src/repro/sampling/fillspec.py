@@ -158,10 +158,8 @@ class FillContext:
 #: backend's worker initializer registers it worker-side.
 _CONTEXTS: Dict[str, FillContext] = {}
 
-#: Built mixtures cached per context digest.  A mixture builds its SciPy
-#: density components on its first density call (an MCMC fallback), so the
-#: fills of one context build them at most once, and a process whose fills
-#: never evaluate a density never loads SciPy.
+#: Built mixtures cached per context digest.  A mixture factorises its
+#: covariances when it is built, so the fills of one context do that once.
 _MIXTURES: Dict[str, GaussianMixture] = {}
 
 

@@ -6,21 +6,26 @@ This module is a small, self-contained mixture implementation (density,
 log-density, sampling, component responsibilities) — the substrate the
 samplers in this package build on.
 
-Sampling is NumPy only.  The densities come from SciPy's frozen
-``multivariate_normal`` components, which are built (and ``scipy.stats``
-imported) on the first density call: a process that only samples the prior,
-such as a server answering cache-hit rounds, never loads SciPy.
+Everything here is NumPy.  The densities use the closed form SciPy's
+``multivariate_normal`` evaluates — a whitening matrix and a log determinant
+from one symmetric eigendecomposition per component — so they match SciPy's
+bit for bit on every prior the library builds (isotropic components), and a
+serving process never loads ``scipy.stats`` (about 60 MB of RSS).  A general
+covariance agrees with SciPy to rounding: the two libraries call different
+LAPACK eigensolvers.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_matrix, require_vector
+
+#: ``log(2π)``, computed as SciPy computes it.
+_LOG_2PI = np.log(2 * np.pi)
 
 
 class GaussianMixture:
@@ -57,7 +62,7 @@ class GaussianMixture:
         if total <= 0:
             raise ValueError("mixture weights must not all be zero")
         self.weights = weights / total
-        self._require_positive_definite(self.covariances)
+        self._whitening, self._log_normalisers = self._factorise(self.covariances)
 
     @staticmethod
     def _normalise_covariances(covariances, num_components: int, dimension: int) -> np.ndarray:
@@ -80,38 +85,35 @@ class GaussianMixture:
         )
 
     @staticmethod
-    def _require_positive_definite(covariances: np.ndarray) -> None:
-        """Reject a singular or indefinite covariance, as SciPy would.
+    def _factorise(covariances: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Whitening matrices and log normalisers, rejecting a bad covariance.
 
-        The test is the one ``multivariate_normal(..., allow_singular=False)``
-        applies: eigenvalues of the lower triangle, with any eigenvalue at or
-        below ``1e6 * eps * max|eigenvalue|`` counted as zero.  It runs here
-        so a bad prior fails at construction, not at its first density.
+        One ``eigh`` per component serves both.  The check is the one
+        ``multivariate_normal(..., allow_singular=False)`` applies: eigenvalues
+        of the lower triangle, with any eigenvalue at or below
+        ``1e6 * eps * max|eigenvalue|`` counted as zero.  It runs here so a
+        bad prior fails at construction, not at its first density.  The
+        whitening matrix is ``U = V · diag(1/√λ)``, so ``‖(x − μ) U‖²`` is the
+        Mahalanobis distance, and the normaliser is ``m·log 2π + Σ log λ``.
         """
         if not np.isfinite(covariances).all():
             raise ValueError("covariances must not contain infs or NaNs")
-        tolerance_factor = 1e6 * np.finfo(float).eps
-        for k, spectrum in enumerate(np.linalg.eigvalsh(covariances)):
-            tolerance = tolerance_factor * np.max(np.abs(spectrum))
-            if spectrum.min() < -tolerance:
+        spectra, bases = np.linalg.eigh(covariances)
+        tolerances = 1e6 * np.finfo(float).eps * np.abs(spectra).max(axis=1)
+        # An indefinite spectrum also has an eigenvalue under its tolerance,
+        # so the first flagged component is the first bad one.
+        for k in np.flatnonzero((spectra <= tolerances[:, None]).any(axis=1)):
+            if spectra[k].min() < -tolerances[k]:
                 raise ValueError(
                     f"covariance {k} is not symmetric positive semidefinite"
                 )
-            if (spectrum <= tolerance).any():
-                raise np.linalg.LinAlgError(
-                    f"covariance {k} is singular; it must be symmetric "
-                    f"positive definite"
-                )
-
-    @cached_property
-    def _components(self) -> List:
-        """The frozen SciPy components, built on the first density call."""
-        from scipy.stats import multivariate_normal
-
-        return [
-            multivariate_normal(mean=self.means[k], cov=self.covariances[k], allow_singular=False)
-            for k in range(self.num_components)
-        ]
+            raise np.linalg.LinAlgError(
+                f"covariance {k} is singular; it must be symmetric "
+                f"positive definite"
+            )
+        whitening = bases * np.sqrt(1.0 / spectra)[:, None, :]
+        log_normalisers = covariances.shape[-1] * _LOG_2PI + np.log(spectra).sum(axis=1)
+        return whitening, log_normalisers
 
     # ------------------------------------------------------------------ basics
     @property
@@ -125,15 +127,26 @@ class GaussianMixture:
         return self.means.shape[1]
 
     # ----------------------------------------------------------------- density
+    def _component_logpdfs(self, matrix: np.ndarray):
+        """Each component's log-density at the rows of ``matrix``, in order.
+
+        ``−½ (m·log 2π + log det Σ + ‖(x − μ) U‖²)``, with the operations in
+        the order SciPy's ``multivariate_normal.logpdf`` performs them.
+        """
+        for mean, whitening, normaliser in zip(
+            self.means, self._whitening, self._log_normalisers
+        ):
+            maha = np.sum(np.square((matrix - mean) @ whitening), axis=-1)
+            yield -0.5 * (normaliser + maha)
+
     def pdf(self, points: np.ndarray) -> np.ndarray:
         """Mixture density at one point (scalar) or a stack of points (vector)."""
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         matrix = points[None, :] if single else points
         density = np.zeros(matrix.shape[0])
-        for weight, component in zip(self.weights, self._components):
-            density += weight * component.pdf(matrix)
-        density = np.atleast_1d(density)
+        for weight, log_density in zip(self.weights, self._component_logpdfs(matrix)):
+            density += weight * np.exp(log_density)
         return float(density[0]) if single else density
 
     def logpdf(self, points: np.ndarray) -> np.ndarray:
@@ -143,8 +156,10 @@ class GaussianMixture:
         matrix = points[None, :] if single else points
         log_terms = np.stack(
             [
-                np.log(weight) + np.atleast_1d(component.logpdf(matrix))
-                for weight, component in zip(self.weights, self._components)
+                np.log(weight) + log_density
+                for weight, log_density in zip(
+                    self.weights, self._component_logpdfs(matrix)
+                )
                 if weight > 0
             ]
         )
@@ -157,8 +172,10 @@ class GaussianMixture:
         matrix = require_matrix(points, "points", columns=self.dimension)
         terms = np.stack(
             [
-                weight * np.atleast_1d(component.pdf(matrix))
-                for weight, component in zip(self.weights, self._components)
+                weight * np.exp(log_density)
+                for weight, log_density in zip(
+                    self.weights, self._component_logpdfs(matrix)
+                )
             ],
             axis=1,
         )

@@ -105,13 +105,10 @@ class ImportanceSampler(Sampler):
         grid.prune_all(constraints.directions)
         return grid.approximate_center()
 
-    def build_proposal(self, constraints: ConstraintSet):
+    def build_proposal(self, constraints: ConstraintSet) -> GaussianMixture:
         """The Gaussian proposal distribution ``Qw ~ N(w*, proposal_std² I)``."""
-        from scipy.stats import multivariate_normal
-
         center = self.approximate_center(constraints)
-        covariance = np.eye(self.num_features) * self.proposal_std**2
-        return multivariate_normal(mean=center, cov=covariance)
+        return GaussianMixture.isotropic(center, self.proposal_std**2)
 
     # ---------------------------------------------------------------- sampling
     def sample(self, count: int, constraints: ConstraintSet) -> SamplePool:
@@ -124,6 +121,7 @@ class ImportanceSampler(Sampler):
                 f"sampler expects {self.num_features}"
             )
         proposal = self.build_proposal(constraints)
+        center, covariance = proposal.means[0], proposal.covariances[0]
         accepted_samples = []
         accepted_weights = []
         attempts = 0
@@ -137,11 +135,7 @@ class ImportanceSampler(Sampler):
                     f"collecting {total_accepted}/{count} valid samples"
                 )
             batch = min(self.batch_size, self.max_attempts - attempts)
-            draws = np.atleast_2d(
-                proposal.rvs(size=batch, random_state=self.rng)
-            )
-            if draws.shape[0] != batch:  # scipy collapses size-1 draws
-                draws = draws.reshape(batch, self.num_features)
+            draws = self.rng.multivariate_normal(center, covariance, size=batch)
             attempts += batch
             if self.noise_probability is None:
                 mask = constraints.valid_mask(draws)
@@ -153,8 +147,8 @@ class ImportanceSampler(Sampler):
             valid = draws[mask]
             if valid.shape[0] == 0:
                 continue
-            prior_density = np.atleast_1d(self.prior.pdf(valid))
-            proposal_density = np.atleast_1d(proposal.pdf(valid))
+            prior_density = self.prior.pdf(valid)
+            proposal_density = proposal.pdf(valid)
             proposal_density = np.where(proposal_density <= 0, np.finfo(float).tiny, proposal_density)
             weights = prior_density / proposal_density
             accepted_samples.append(valid)
@@ -168,6 +162,6 @@ class ImportanceSampler(Sampler):
             "accepted": int(total_accepted),
             "rejected": int(attempts - total_accepted),
             "acceptance_rate": (total_accepted / attempts) if attempts else 1.0,
-            "proposal_mean": proposal.mean.tolist(),
+            "proposal_mean": center.tolist(),
         }
         return SamplePool(samples, weights, stats)

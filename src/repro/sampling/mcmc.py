@@ -17,7 +17,7 @@ and then performs a bounded random walk inside the region:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -90,20 +90,22 @@ class MetropolisHastingsSampler(Sampler):
         radius = self.step_length * self.rng.random() ** (1.0 / self.num_features)
         return current + direction * radius
 
-    def _find_initial_state(self, constraints: ConstraintSet) -> np.ndarray:
-        """Find a valid starting point for the chain.
+    def _find_initial_state(self, constraints: ConstraintSet) -> Tuple[np.ndarray, str]:
+        """Find a valid starting point for the chain, and the rung that found it.
 
         Rejection sampling from the prior is tried first (a start distributed
         like the prior, as the paper assumes); when the valid region's prior
         mass is below the rejection budget — high dimensionality, many
         accumulated preferences — the Chebyshev interior point of the
         constraint cone seeds the chain instead, and burn-in washes out the
-        deterministic start.
+        deterministic start.  The rung, recorded in ``stats["chain_seed"]``,
+        is ``"given"`` (the caller's ``initial_state``), ``"rejection"``,
+        ``"interior_point"`` (an LP, the one use of SciPy) or ``"apex"``.
         """
         if self.initial_state is not None:
             if self.noise_probability is None and not constraints.is_valid(self.initial_state):
                 raise ValueError("the supplied initial_state violates the constraints")
-            return self.initial_state
+            return self.initial_state, "given"
         # A bounded seeding budget: below ~1e-5 acceptance, rejection seeding
         # is hopeless and the interior-point fallback is both faster and sure.
         seeder = RejectionSampler(
@@ -113,11 +115,11 @@ class MetropolisHastingsSampler(Sampler):
             max_attempts=200_000,
         )
         try:
-            return seeder.sample_one_valid(constraints)
+            return seeder.sample_one_valid(constraints), "rejection"
         except RejectionSamplingError:
             interior = constraints.interior_point()
             if interior is not None:
-                return interior
+                return interior, "interior_point"
             # Degenerate feedback (e.g. near-identical presented packages)
             # can collapse the cone to an empty-interior wedge.  Its apex —
             # the origin — always satisfies the homogeneous half-spaces
@@ -127,7 +129,7 @@ class MetropolisHastingsSampler(Sampler):
             # apex — the mean of a symmetric degenerate posterior; sampling
             # *within* the wedge's affine hull (facial reduction) is a noted
             # follow-on in ROADMAP.md.
-            return np.zeros(self.num_features)
+            return np.zeros(self.num_features), "apex"
 
     # ---------------------------------------------------------------- sampling
     def sample(self, count: int, constraints: ConstraintSet) -> SamplePool:
@@ -142,7 +144,7 @@ class MetropolisHastingsSampler(Sampler):
         if count == 0:
             return SamplePool.empty(self.num_features)
 
-        current = self._find_initial_state(constraints)
+        current, chain_seed = self._find_initial_state(constraints)
         current_density = float(self.prior.pdf(current))
         collected = np.zeros((count, self.num_features))
         collected_count = 0
@@ -191,5 +193,6 @@ class MetropolisHastingsSampler(Sampler):
             "acceptance_rate": proposals_accepted / steps if steps else 1.0,
             "burn_in": self.burn_in,
             "thinning": self.thinning,
+            "chain_seed": chain_seed,
         }
         return SamplePool.unweighted(collected, stats)

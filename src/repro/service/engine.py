@@ -800,12 +800,15 @@ class RecommendationEngine:
         Fills execute wherever the shard backend put them — inline or in a
         worker process — so they cannot open spans themselves;
         the engine rebuilds the span from the stats the fill returned
-        (``fill_seconds``, and ``fill_worker_pid`` for process fills).
+        (``fill_seconds``, and ``fill_worker_pid`` for process fills).  A
+        fill that fell back to MCMC carries the rung that seeded its chain
+        (``chain_seed``): an ``"apex"`` pool may be copies of one point.
         """
         attrs = {"key": key, "count": pool.size}
-        sampler = pool.stats.get("sampler")
-        if sampler is not None:
-            attrs["sampler"] = sampler
+        for name in ("sampler", "chain_seed"):
+            value = pool.stats.get(name)
+            if value is not None:
+                attrs[name] = value
         worker_pid = pool.stats.get("fill_worker_pid")
         if worker_pid is not None:
             attrs["worker_pid"] = int(worker_pid)

@@ -89,7 +89,7 @@ class TestEffectiveNumberOfSamples:
         ens_rejection = effective_number_of_samples(
             n, posterior, prior.pdf, evaluation_points
         )
-        proposal_points = np.atleast_2d(proposal.rvs(size=4000, random_state=3))
+        proposal_points = proposal.sample(4000, rng=3)
         ens_importance = effective_number_of_samples(
             n, posterior, proposal.pdf, proposal_points
         )

@@ -102,11 +102,26 @@ class TestRequestSpanTrees:
         provision = by_name["engine.provision"]
         assert provision["attrs"]["sampled"] == 1
         assert children_of(trace, provision["span_id"]) == ["pool.fill"]
+        # The shared block filled the pool: no MCMC chain, no seed rung.
+        assert "chain_seed" not in by_name["pool.fill"]["attrs"]
         search = by_name["search.topk"]
         assert search["attrs"]["pools"] == 1
         assert search["attrs"]["rows"] >= 1
         assert search["attrs"]["items_accessed"] >= 1
         assert "pool_key" in by_name["engine.serve_round"]["attrs"]
+
+    def test_an_mcmc_fill_span_names_its_chain_seed(
+        self, serving_catalog, serving_profile
+    ):
+        telemetry = traced_telemetry()
+        engine = make_engine(
+            serving_catalog, serving_profile, telemetry, use_batch_sampler=False
+        )
+        engine.recommend(engine.create_session())
+        (trace,) = telemetry.drain_traces()
+        (fill,) = [s for s in trace["spans"] if s["name"] == "pool.fill"]
+        assert fill["attrs"]["sampler"] == "MS"
+        assert fill["attrs"]["chain_seed"] == "rejection"
 
     def test_batched_request_trace(self, serving_catalog, serving_profile, tmp_path):
         """recommend_many has recommend's tree: one span per stage, one

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sampling.base import ConstraintSet
+from repro.sampling.batch import BatchRejectionSampler
 from repro.sampling.gaussian_mixture import GaussianMixture
 from repro.sampling.importance import (
     ImportanceSampler,
@@ -173,6 +174,15 @@ class TestMetropolisHastingsSampler:
         pool = MetropolisHastingsSampler(two_dim_prior, rng=0).sample(50, half_plane_constraints)
         assert pool.stats["sampler"] == "MS"
         assert pool.stats["chain_steps"] > 0
+        assert pool.stats["chain_seed"] == "rejection"
+
+    def test_a_supplied_initial_state_is_recorded_as_given(
+        self, two_dim_prior, half_plane_constraints
+    ):
+        sampler = MetropolisHastingsSampler(
+            two_dim_prior, rng=0, initial_state=np.array([0.5, 0.5])
+        )
+        assert sampler.sample(5, half_plane_constraints).stats["chain_seed"] == "given"
 
 
 class TestMcmcSeedFallback:
@@ -191,6 +201,7 @@ class TestMcmcSeedFallback:
         pool = sampler.sample(30, constraints)
         assert pool.size == 30
         assert constraints.valid_mask(pool.samples).all()
+        assert pool.stats["chain_seed"] == "interior_point"
 
 
 class TestMcmcDegenerateCone:
@@ -207,3 +218,24 @@ class TestMcmcDegenerateCone:
         pool = sampler.sample(20, constraints)
         assert pool.size == 20
         assert constraints.valid_mask(pool.samples).all()
+        assert pool.stats["chain_seed"] == "apex"
+
+
+class TestBatchFallbackChainSeed:
+    def test_a_fallback_pool_carries_the_chain_seed(self, two_dim_prior):
+        """One tiny block cannot fill the set, so the MCMC fallback tops it
+        up and its seeding rung is copied onto the batch pool."""
+        constraints = ConstraintSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        sampler = BatchRejectionSampler(
+            two_dim_prior, rng=0, block_size=4, max_blocks=1
+        )
+        pool = sampler.sample(50, constraints)
+        assert pool.stats["fell_back"] is True
+        assert pool.stats["chain_seed"] == "rejection"
+
+    def test_a_filled_pool_has_no_chain_seed(self, two_dim_prior):
+        pool = BatchRejectionSampler(two_dim_prior, rng=0).sample(
+            50, ConstraintSet.empty(2)
+        )
+        assert pool.stats["fell_back"] is False
+        assert "chain_seed" not in pool.stats

@@ -1,15 +1,18 @@
-"""SciPy is loaded only where a density or an LP is evaluated.
+"""SciPy is loaded only where an LP is solved.
 
-The serving path samples the prior and walks sorted lists; it never
-evaluates a density.  ``scipy.stats`` alone costs a serving process about
-64 MB of RSS, so the prior builds its SciPy components on the first density
-call and the importance sampler imports its proposal on use.  The densities
-stay SciPy's own, bit for bit, and a bad covariance is still refused when
-the prior is built.
+The prior's densities are NumPy (SciPy's closed form, evaluated with the
+same operations), and so is the importance proposal: serving, MCMC fills
+seeded by rejection and importance fills load no SciPy module at all.  Only
+the Chebyshev seed ``ConstraintSet.interior_point()`` imports
+``scipy.optimize``, inside the function.  ``scipy.stats`` alone costs a
+process about 60 MB of RSS.  The densities match eager SciPy components bit
+for bit on every prior the library builds, and a bad covariance is still
+refused when the prior is built.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -21,15 +24,19 @@ import pytest
 from repro.sampling.gaussian_mixture import GaussianMixture
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_ROOT = os.path.join(REPO_ROOT, "src")
 
 #: Serves identical-prefix rounds on perfbench's stack definition (catalog,
-#: elicitation config, default engine), then reports the loaded SciPy
-#: modules before and after one importance-sampler fill.
+#: elicitation config, default engine), then runs a rejection-seeded MCMC
+#: fill, an importance fill and an LP-seeded MCMC fill, reporting the loaded
+#: SciPy modules after each step.
 SERVE_SCRIPT = textwrap.dedent(
     """
     import sys
 
     sys.path.insert(0, "perfbench")
+
+    import numpy as np
 
     import repro
     from driver import (
@@ -39,12 +46,18 @@ SERVE_SCRIPT = textwrap.dedent(
     from repro.data.generators import generate_uniform
     from repro.experiments.harness import default_profile
     from repro.sampling.base import ConstraintSet
+    from repro.sampling.batch import BatchRejectionSampler
+    from repro.sampling.gaussian_mixture import GaussianMixture
     from repro.sampling.importance import ImportanceSampler
+    from repro.sampling.mcmc import MetropolisHastingsSampler
     from repro.service import EngineConfig, RecommendationEngine
     from repro.simulation.traffic import build_user_population, session_seed_for
 
     def scipy_modules():
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    def report(name, value):
+        print(name, value)
 
     assert not scipy_modules(), scipy_modules()[:5]
     catalog = ItemCatalog(
@@ -62,13 +75,40 @@ SERVE_SCRIPT = textwrap.dedent(
             round_ = engine.recommend(session_id)
             engine.feedback(session_id, user.click(round_.presented))
     stats = engine.stats()
-    print("pools_built", stats.pools_built)
-    print("topk_hits", stats.topk_cache["hits"])
-    print("served", len(scipy_modules()))
+    report("pools_built", stats.pools_built)
+    report("topk_hits", stats.topk_cache["hits"])
+    report("served", len(scipy_modules()))
+
+    # A thin cone around the first axis: one shared block cannot fill it,
+    # so the batch sampler falls back to MCMC, which rejection seeds.
+    spokes = np.eye(CATALOG_FEATURES)[1:] * 10.0
+    thin = ConstraintSet(np.vstack([spokes + np.eye(CATALOG_FEATURES)[0],
+                                    np.eye(CATALOG_FEATURES)[0] - spokes]))
+    pool = BatchRejectionSampler(
+        engine.prior, rng=0, block_size=8, max_blocks=1
+    ).sample(16, thin)
+    report("thin_fell_back", int(pool.stats["fell_back"]))
+    report("thin_chain_seed", pool.stats["chain_seed"])
+    report("thin_valid", int(thin.valid_mask(pool.samples).all()))
+    report("mcmc", len(scipy_modules()))
+
     ImportanceSampler(engine.prior, rng=0).sample(
         8, ConstraintSet.empty(CATALOG_FEATURES)
     )
-    print("importance", len(scipy_modules()))
+    report("importance", len(scipy_modules()))
+
+    # Eighty constraints in ten dimensions: rejection seeding exhausts its
+    # budget and the Chebyshev LP seeds the chain.
+    rng = np.random.default_rng(3)
+    hidden = rng.uniform(-1, 1, 10)
+    directions = rng.normal(size=(80, 10))
+    directions[directions @ hidden < 0] *= -1
+    pool = MetropolisHastingsSampler(
+        GaussianMixture.default_prior(10, rng=0), rng=1
+    ).sample(8, ConstraintSet(directions))
+    report("lp_chain_seed", pool.stats["chain_seed"])
+    report("lp_optimize", int("scipy.optimize" in sys.modules))
+    report("lp_stats", int(any(m.startswith("scipy.stats") for m in sys.modules)))
     """
 )
 
@@ -76,8 +116,7 @@ SERVE_SCRIPT = textwrap.dedent(
 def _run_serve_script() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(REPO_ROOT, "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        [SRC_ROOT] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     completed = subprocess.run(
         [sys.executable, "-c", SERVE_SCRIPT],
@@ -88,74 +127,226 @@ def _run_serve_script() -> dict:
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
+    report = dict(line.split() for line in completed.stdout.splitlines())
     return {
-        name: int(value)
-        for name, value in (line.split() for line in completed.stdout.splitlines())
+        name: int(value) if value.isdigit() else value
+        for name, value in report.items()
     }
 
 
+@pytest.fixture(scope="module")
+def serve_report() -> dict:
+    return _run_serve_script()
+
+
 class TestServingLoadsNoScipy:
-    def test_cache_hit_serving_loads_no_scipy_and_importance_does(self):
-        report = _run_serve_script()
+    def test_cache_hit_serving_loads_no_scipy(self, serve_report):
         # Four identical-prefix sessions of four rounds: the first builds
         # every pool, the other three hit both caches.
-        assert report["pools_built"] == 4
-        assert report["topk_hits"] > 0
-        assert report["served"] == 0
-        # Positive control: the importance proposal is a SciPy density.
-        assert report["importance"] > 0
+        assert serve_report["pools_built"] == 4
+        assert serve_report["topk_hits"] > 0
+        assert serve_report["served"] == 0
+
+    def test_rejection_seeded_mcmc_fill_loads_no_scipy(self, serve_report):
+        assert serve_report["thin_fell_back"] == 1
+        assert serve_report["thin_chain_seed"] == "rejection"
+        assert serve_report["thin_valid"] == 1
+        assert serve_report["mcmc"] == 0
+
+    def test_importance_fill_loads_no_scipy(self, serve_report):
+        assert serve_report["importance"] == 0
+
+    def test_lp_seeded_fill_loads_optimize_but_not_stats(self, serve_report):
+        assert serve_report["lp_chain_seed"] == "interior_point"
+        assert serve_report["lp_optimize"] == 1
+        assert serve_report["lp_stats"] == 0
 
 
-def _mixture() -> GaussianMixture:
-    means = np.array([[0.1, -0.2, 0.3], [-0.4, 0.0, 0.2]])
-    covariances = np.stack(
+def _scipy_imports(path: str):
+    """``(enclosing qualified name, scipy module)`` for each SciPy import."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            modules = []
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module and not child.level:
+                modules = [child.module] + [
+                    f"{child.module}.{alias.name}" for alias in child.names
+                ]
+            for module in modules:
+                if module == "scipy" or module.startswith("scipy."):
+                    found.append((".".join(scope), module))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+class TestImportRules:
+    """The AST form of the ruff rules in ``pyproject.toml`` (TID251/TID253)."""
+
+    def _imports(self):
+        imports = {}
+        for directory, _subdirs, files in os.walk(SRC_ROOT):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    found = _scipy_imports(path)
+                    if found:
+                        imports[os.path.relpath(path, SRC_ROOT)] = found
+        return imports
+
+    def test_no_module_imports_scipy_stats(self):
+        offenders = {
+            path: found
+            for path, found in self._imports().items()
+            if any(module.startswith("scipy.stats") for _, module in found)
+        }
+        assert offenders == {}
+
+    def test_scipy_optimize_is_imported_only_by_the_lp_seed(self):
+        lp_seed = os.path.join("repro", "sampling", "base.py")
+        assert self._imports() == {
+            lp_seed: [
+                ("ConstraintSet.interior_point", "scipy.optimize"),
+                ("ConstraintSet.interior_point", "scipy.optimize.linprog"),
+            ]
+        }
+
+    def test_the_scan_sees_every_import_form(self, tmp_path):
+        source = tmp_path / "probe.py"
+        source.write_text(
+            textwrap.dedent(
+                """
+                import scipy.stats
+                from scipy import stats
+
+                class Holder:
+                    def method(self):
+                        from scipy.stats import norm
+                """
+            )
+        )
+        assert _scipy_imports(str(source)) == [
+            ("", "scipy.stats"),
+            ("", "scipy"),
+            ("", "scipy.stats"),
+            ("Holder.method", "scipy.stats"),
+            ("Holder.method", "scipy.stats.norm"),
+        ]
+
+
+def _scipy_densities(mixture: GaussianMixture, points: np.ndarray):
+    """``pdf``, ``logpdf`` and ``responsibilities`` from eager SciPy components."""
+    from scipy.stats import multivariate_normal
+
+    eager = [
+        multivariate_normal(mean=mean, cov=cov, allow_singular=False)
+        for mean, cov in zip(mixture.means, mixture.covariances)
+    ]
+    pdf = np.zeros(len(points))
+    for weight, component in zip(mixture.weights, eager):
+        pdf += weight * component.pdf(points)
+    log_terms = np.stack(
         [
-            np.array([[0.3, 0.05, 0.0], [0.05, 0.2, 0.01], [0.0, 0.01, 0.25]]),
-            np.eye(3) * 0.15,
+            np.log(weight) + np.atleast_1d(component.logpdf(points))
+            for weight, component in zip(mixture.weights, eager)
         ]
     )
-    return GaussianMixture(means, covariances, weights=np.array([0.35, 0.65]))
+    top = log_terms.max(axis=0)
+    logpdf = top + np.log(np.exp(log_terms - top).sum(axis=0))
+    terms = np.stack(
+        [w * np.atleast_1d(c.pdf(points)) for w, c in zip(mixture.weights, eager)],
+        axis=1,
+    )
+    responsibilities = terms / terms.sum(axis=1, keepdims=True)
+    return pdf, logpdf, responsibilities
 
 
-class TestLazyComponents:
-    def test_components_are_built_on_the_first_density_only(self):
-        mixture = _mixture()
-        mixture.sample(50, rng=0)
-        assert "_components" not in vars(mixture)
-        mixture.pdf(np.zeros(3))
-        components = vars(mixture)["_components"]
-        mixture.logpdf(np.zeros(3))
-        assert mixture._components is components
+def _assert_bit_equal(mixture: GaussianMixture, points: np.ndarray) -> None:
+    pdf, logpdf, responsibilities = _scipy_densities(mixture, points)
+    assert np.array_equal(mixture.pdf(points), pdf)
+    assert np.array_equal(mixture.logpdf(points), logpdf)
+    assert np.array_equal(mixture.responsibilities(points), responsibilities)
+    for point in points[:3]:
+        single_pdf, single_logpdf, _ = _scipy_densities(mixture, point[None])
+        assert mixture.pdf(point) == single_pdf[0]
+        assert mixture.logpdf(point) == single_logpdf[0]
 
-    def test_densities_are_bit_equal_to_eager_scipy_components(self):
-        from scipy.stats import multivariate_normal
 
-        mixture = _mixture()
-        eager = [
-            multivariate_normal(mean=mean, cov=cov, allow_singular=False)
-            for mean, cov in zip(mixture.means, mixture.covariances)
-        ]
-        points = np.random.default_rng(3).normal(scale=0.5, size=(40, 3))
-        pdf = np.zeros(len(points))
-        for weight, component in zip(mixture.weights, eager):
-            pdf += weight * component.pdf(points)
-        log_terms = np.stack(
-            [
-                np.log(weight) + component.logpdf(points)
-                for weight, component in zip(mixture.weights, eager)
-            ]
-        )
-        top = log_terms.max(axis=0)
-        logpdf = top + np.log(np.exp(log_terms - top).sum(axis=0))
-        terms = np.stack(
-            [w * c.pdf(points) for w, c in zip(mixture.weights, eager)], axis=1
-        )
-        responsibilities = terms / terms.sum(axis=1, keepdims=True)
-        assert np.array_equal(mixture.pdf(points), pdf)
-        assert np.array_equal(mixture.logpdf(points), logpdf)
-        assert np.array_equal(mixture.responsibilities(points), responsibilities)
-        assert mixture.pdf(points[0]) == pdf[0]
-        assert mixture.logpdf(points[0]) == logpdf[0]
+class TestNumpyDensities:
+    def test_default_priors_are_bit_equal_to_scipy(self):
+        """Every default prior: m 2-10, K 1-4, two spreads, two seeds."""
+        for m in range(2, 11):
+            points = np.random.default_rng(m).normal(scale=0.7, size=(25, m))
+            for num_components in range(1, 5):
+                for spread in (0.2, 1.3):
+                    for seed in range(2):
+                        prior = GaussianMixture.default_prior(
+                            m, num_components, spread, rng=seed
+                        )
+                        _assert_bit_equal(prior, points)
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_diagonal_covariances_are_bit_equal(self, m):
+        rng = np.random.default_rng(m)
+        for num_components in range(1, 5):
+            mixture = GaussianMixture(
+                rng.uniform(-0.5, 0.5, size=(num_components, m)),
+                np.exp(rng.uniform(-4, 2, size=(num_components, m))),
+                weights=rng.uniform(0.1, 1.0, size=num_components),
+            )
+            _assert_bit_equal(mixture, rng.normal(size=(25, m)))
+
+    def test_two_dimensional_diagonal_covariances_agree_to_rounding(self):
+        """SciPy's default ``evr`` driver perturbs the eigenvalues of a 2x2
+        diagonal matrix with distinct entries by an ulp; NumPy's are exact."""
+        rng = np.random.default_rng(2)
+        for num_components in range(1, 5):
+            mixture = GaussianMixture(
+                rng.uniform(-0.5, 0.5, size=(num_components, 2)),
+                np.exp(rng.uniform(-4, 2, size=(num_components, 2))),
+                weights=rng.uniform(0.1, 1.0, size=num_components),
+            )
+            points = rng.normal(size=(25, 2))
+            expected = _scipy_densities(mixture, points)
+            got = (
+                mixture.pdf(points),
+                mixture.logpdf(points),
+                mixture.responsibilities(points),
+            )
+            for value, reference in zip(got, expected):
+                np.testing.assert_allclose(value, reference, rtol=1e-12, atol=0)
+
+    def test_general_covariances_agree_within_rtol(self):
+        """NumPy's ``eigh`` runs a different LAPACK driver from
+        ``scipy.linalg.eigh``, so a non-diagonal covariance agrees to about
+        1e-11 relative, not bit for bit."""
+        rng = np.random.default_rng(7)
+        for m in range(2, 11):
+            for num_components in range(1, 5):
+                factors = rng.normal(size=(num_components, m, m))
+                covariances = factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(m)
+                mixture = GaussianMixture(
+                    rng.normal(size=(num_components, m)), covariances
+                )
+                points = rng.normal(size=(25, m))
+                expected = _scipy_densities(mixture, points)
+                got = (
+                    mixture.pdf(points),
+                    mixture.logpdf(points),
+                    mixture.responsibilities(points),
+                )
+                for value, reference in zip(got, expected):
+                    np.testing.assert_allclose(value, reference, rtol=1e-9, atol=0)
+                assert mixture.pdf(points[0]) == pytest.approx(expected[0][0], rel=1e-9)
 
 
 #: Covariances SciPy's ``allow_singular=False`` refuses, with the error it
