@@ -4,13 +4,11 @@ Not a paper figure — this measures the columnar-catalog tentpole along its
 acceptance axes:
 
 * **Backing equivalence** (asserted, ``catalog_mmap_equivalence``) — a
-  null-bearing catalog served three ways: the materialized engine, an
+  null-bearing catalog served two ways: the materialized engine and an
   ``EngineConfig(catalog_backing="mmap")`` engine (catalog written to a
-  columnar store and reopened through ``np.memmap``), and an mmap engine
-  whose pool fills run in **process-shard workers** that resolve the catalog
-  by content digest and mmap the shared store (digest stamps and worker PIDs
-  asserted).  Every presented package of every round — per-session and
-  batched — must be bit-identical across all three.
+  columnar store and reopened through ``np.memmap``).  Every presented
+  package of every round — per-session and batched — must be bit-identical
+  across both.
 * **Cold open** (asserted, ``catalog_cold_open_speedup`` ≥ 10x) — attaching
   a 120k-item store (header read + three ``np.memmap`` calls) vs what a cold
   engine otherwise pays: constructing the ``ItemCatalog`` (validation scan)
@@ -32,7 +30,6 @@ in ``results/bench_catalog.txt``.
 
 from __future__ import annotations
 
-import os
 import resource
 import time
 
@@ -115,49 +112,16 @@ def catalog_report():
     catalog = _catalog(seed=0, n=3_000)
     profile = _profile()
 
-    # ---- backing equivalence: materialized vs mmap vs mmap+process workers
+    # ---- backing equivalence: materialized vs mmap
     materialized = RecommendationEngine(catalog, profile, _engine_config())
     rounds_materialized = _serve_rounds(materialized)
-    materialized.close_repository()
 
     mapped = RecommendationEngine(
         catalog, profile, _engine_config(catalog_backing="mmap")
     )
     assert mapped.catalog.backing_kind == "mmap"
     rounds_mapped = _serve_rounds(mapped)
-    catalog_digest = mapped.catalog.content_digest()
-    mapped.close_repository()
-
-    process = RecommendationEngine(
-        catalog,
-        profile,
-        _engine_config(
-            catalog_backing="mmap", pool_shards=2, pool_shard_backend="process:2"
-        ),
-    )
-    rounds_process = _serve_rounds(process)
-    worker_pids, digest_stamps = set(), set()
-    for shard in process.pool_repository.shards:
-        for key in shard.keys():
-            stats = shard.peek(key).stats
-            if stats.get("fill_worker_pid") is not None:
-                worker_pids.add(stats["fill_worker_pid"])
-            if stats.get("catalog_digest") is not None:
-                digest_stamps.add(stats["catalog_digest"])
-    process.close_repository()
-
-    out_of_process = bool(worker_pids) and os.getpid() not in worker_pids
-    workers_mapped_store = digest_stamps == {catalog_digest}
-    equivalence = (
-        1.0
-        if (
-            rounds_mapped == rounds_materialized
-            and rounds_process == rounds_materialized
-            and out_of_process
-            and workers_mapped_store
-        )
-        else 0.0
-    )
+    equivalence = 1.0 if rounds_mapped == rounds_materialized else 0.0
 
     # ---- cold open: mmap attach vs rebuild + re-argsort
     big = _catalog(seed=1, n=COLD_OPEN_ITEMS, m=COLD_OPEN_FEATURES)
@@ -222,17 +186,11 @@ def catalog_report():
     session_id = serve_engine.create_session(seed=7)
     million_round = serve_engine.recommend(session_id)
     million_seconds = time.perf_counter() - start
-    serve_engine.close_repository()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     report = {
         "equivalence": equivalence,
         "rounds_mapped_ok": rounds_mapped == rounds_materialized,
-        "rounds_process_ok": rounds_process == rounds_materialized,
-        "worker_pids": worker_pids,
-        "out_of_process": out_of_process,
-        "workers_mapped_store": workers_mapped_store,
-        "catalog_digest": catalog_digest,
         "rebuild_seconds": rebuild_seconds,
         "attach_seconds": attach_seconds,
         "cold_open_speedup": cold_open_speedup,
@@ -246,7 +204,7 @@ def catalog_report():
 
     header = (
         "Memory-mapped columnar catalog store\n"
-        f"equivalence (materialized vs mmap vs mmap+process workers) = "
+        f"equivalence (materialized vs mmap) = "
         f"{equivalence:.0f} (floor: exact); cold open x{cold_open_speedup:.1f} "
         f"(floor {MIN_COLD_OPEN_SPEEDUP:.0f}x); pushdown row fraction "
         f"{pushdown_fraction:.4f} (ceiling {MAX_PUSHDOWN_ROW_FRACTION})"
@@ -255,11 +213,7 @@ def catalog_report():
         [
             "[backing equivalence (asserted)]",
             f"  {NUM_SESSIONS} sessions, per-session + {NUM_ROUNDS} batched rounds",
-            f"  mmap rounds bit-identical:    {rounds_mapped == rounds_materialized}",
-            f"  process rounds bit-identical: {rounds_process == rounds_materialized}",
-            f"  fill workers: {len(worker_pids)} distinct PIDs "
-            f"(engine pid excluded: {out_of_process}), every fill stamped "
-            f"with store digest {catalog_digest}: {workers_mapped_store}",
+            f"  mmap rounds bit-identical: {rounds_mapped == rounds_materialized}",
             "",
             "[cold open (asserted)]",
             f"  {COLD_OPEN_ITEMS:,} items x {COLD_OPEN_FEATURES} features",
@@ -289,9 +243,8 @@ def catalog_report():
         MIN_EQUIVALENCE,
         source="benchmarks/test_bench_catalog.py",
         description=(
-            f"1.0 iff mmap-backed engines (inline and process-shard workers "
-            f"opening the store by digest) serve rounds bit-identical to the "
-            f"materialized engine, {NUM_SESSIONS} sessions per-session + "
+            f"1.0 iff the mmap-backed engine serves rounds bit-identical to "
+            f"the materialized engine, {NUM_SESSIONS} sessions per-session + "
             f"batched"
         ),
         unit="",
@@ -335,9 +288,6 @@ def catalog_report():
 
 def test_mmap_equivalence(catalog_report):
     assert catalog_report["rounds_mapped_ok"]
-    assert catalog_report["rounds_process_ok"]
-    assert catalog_report["out_of_process"]
-    assert catalog_report["workers_mapped_store"]
     assert catalog_report["equivalence"] >= MIN_EQUIVALENCE
 
 

@@ -20,9 +20,8 @@ The public API re-exports the pieces most users need:
   :class:`CatalogPredicateSet`;
 * the online serving engine: :class:`RecommendationEngine`,
   :class:`EngineConfig`, :class:`TrafficSimulator`, and its
-  fingerprint-partitioned pool state layer :class:`ShardedPoolRepository`
-  with :class:`WarmStartPlanner`, the picklable fill seam :class:`FillSpec`
-  with the process-parallel :class:`ProcessShardBackend`, and the
+  pool state layer :class:`PoolRepository` with :class:`WarmStartPlanner`,
+  the key-seeded fill description :class:`FillSpec`, and the
   approximate pool-reuse subsystem :class:`PoolAdapter`
   (:class:`AdaptationConfig`);
 * the async front-end: :class:`AsyncRecommendationServer`,
@@ -100,7 +99,6 @@ from repro.service import (
     ConstraintSimilarityIndex,
     FillSpec,
     PoolAdapter,
-    ProcessShardBackend,
     AsyncRecommendationServer,
     DispatcherClosedError,
     DispatcherOverloadedError,
@@ -120,7 +118,7 @@ from repro.service import (
     SessionExpiredError,
     SessionManager,
     SessionNotFoundError,
-    ShardedPoolRepository,
+    PoolRepository,
     SqliteSessionStore,
     WarmStartPlanner,
 )
@@ -199,8 +197,7 @@ __all__ = [
     "SessionExpiredError",
     "SamplePoolCache",
     "FillSpec",
-    "ProcessShardBackend",
-    "ShardedPoolRepository",
+    "PoolRepository",
     "WarmStartPlanner",
     "MemorySessionStore",
     "JsonSessionStore",

@@ -398,10 +398,10 @@ class PackageRecommender:
     def set_pool_provider(self, provider: Optional["PoolProvider"]) -> None:
         """Delegate sample-pool acquisition to an external provider.
 
-        A serving engine uses this hook to source pools from a shared,
-        fingerprint-partitioned repository
-        (:class:`~repro.service.pool_repository.ShardedPoolRepository`, keyed by the
-        constraint-set fingerprint) instead of sampling inside every session.
+        A serving engine uses this hook to source pools from a shared
+        repository (:class:`~repro.service.pool_repository.PoolRepository`,
+        keyed by the constraint-set fingerprint) instead of sampling inside
+        every session.
         The provider is called with ``(constraints, count, stale_pool)``
         where ``stale_pool`` is the pre-feedback pool, if any, that the
         provider may maintain incrementally (§3.4) rather than resampling

@@ -53,8 +53,8 @@ def catalog_content_digest(features: np.ndarray, null_mask: np.ndarray) -> str:
 
     Hashes the raw float64 bytes column by column plus the null mask, so a
     materialized catalog and a columnar store written from it (or opened via
-    mmap) report the same digest — the property that lets pool-fill contexts
-    and worker processes reference a catalog by content instead of by object.
+    mmap) report the same digest, so two catalogs can be compared by content
+    whatever their backing.
     """
     features = np.asarray(features)
     hasher = hashlib.blake2b(digest_size=16)

@@ -22,9 +22,7 @@ from repro.data.columnar import (
     CategoryPredicate,
     MmapBacking,
     NumericRangePredicate,
-    open_catalog_by_digest,
     open_catalog_store,
-    register_catalog_location,
     write_catalog_store,
 )
 
@@ -34,9 +32,7 @@ __all__ = [
     "CategoryPredicate",
     "MmapBacking",
     "NumericRangePredicate",
-    "open_catalog_by_digest",
     "open_catalog_store",
-    "register_catalog_location",
     "write_catalog_store",
     "generate_uniform",
     "generate_powerlaw",

@@ -30,9 +30,7 @@ frontier) rows of a disk-resident catalog rather than scanning the table.
 
 Stores are content-addressed: the header records a digest of the raw column
 bytes (equal to ``ItemCatalog.content_digest()`` of the materialized
-equivalent), and a process-wide registry maps digests to opened catalogs so
-pool-fill worker processes resolve a catalog by digest and mmap it locally
-instead of receiving feature arrays over a pipe.
+equivalent).
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,53 +240,6 @@ def open_catalog_store(path: str) -> ItemCatalog:
         feature_names=backing.header["feature_names"],
         item_ids=backing.header["item_ids"],
     )
-
-
-# -------------------------------------------------------------- digest registry
-_REGISTRY_LOCK = threading.Lock()
-_LOCATIONS: Dict[str, str] = {}
-_OPENED: Dict[str, ItemCatalog] = {}
-
-
-def register_catalog_location(digest: str, path: str) -> None:
-    """Record where the store with ``digest`` lives on this host.
-
-    Called engine-side when a fill context references a catalog, and (via
-    ``register_fill_context``) in pool-fill worker initializers — so a
-    worker process resolves the catalog by digest and mmaps the store
-    locally instead of receiving the feature matrix over a pipe.
-    """
-    with _REGISTRY_LOCK:
-        _LOCATIONS.setdefault(digest, os.path.abspath(path))
-
-
-def known_catalog_locations() -> Dict[str, str]:
-    """Snapshot of the digest → store-path registry (for shipping to workers)."""
-    with _REGISTRY_LOCK:
-        return dict(_LOCATIONS)
-
-
-def open_catalog_by_digest(digest: str) -> ItemCatalog:
-    """Open (or return the already-opened) catalog with this content digest."""
-    with _REGISTRY_LOCK:
-        catalog = _OPENED.get(digest)
-        if catalog is not None:
-            return catalog
-        path = _LOCATIONS.get(digest)
-    if path is None:
-        raise KeyError(
-            f"no catalog store registered for digest {digest!r}; call "
-            "register_catalog_location(digest, path) first"
-        )
-    catalog = open_catalog_store(path)
-    stored = catalog.content_digest()
-    if stored != digest:
-        raise ValueError(
-            f"catalog store at {path} has digest {stored!r}, "
-            f"expected {digest!r}"
-        )
-    with _REGISTRY_LOCK:
-        return _OPENED.setdefault(digest, catalog)
 
 
 # ------------------------------------------------------------------- predicates

@@ -17,7 +17,7 @@ substrate underneath them:
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade the serving
   code holds: one registry + one tracer + labeled ``alarm()`` events
   (replay divergence, dispatcher shed, ESS-gate rejections,
-  worker restarts).  A disabled instance costs one attribute check per
+  apex-seeded pool fills).  A disabled instance costs one attribute check per
   instrumentation site, which is what keeps the telemetry-on overhead
   under the CI-gated 5% budget (``benchmarks/test_bench_obs.py``).
 """

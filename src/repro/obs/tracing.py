@@ -2,17 +2,16 @@
 
 A *trace* is the tree of spans covering one request: dispatcher admission →
 ``recommend``/``recommend_many`` → pool provisioning (adapt / refill /
-maintain / fill — including process-shard fills reconstructed from worker
-stats) → batched top-k search → event-log append.  Spans carry wall-clock
+maintain / fill) → batched top-k search → event-log append.  Spans carry wall-clock
 start, perf-counter duration, free-form attributes, and parent links.
 
 The tracer is deliberately **single-threaded**: the serving path that opens
 and closes spans runs on one thread (the engine's synchronous core; the
-dispatcher's asyncio loop is also one thread).  Work fanned out to shard
-worker processes is not traced in-flight; instead the engine
-records *reconstructed* child spans from the stats each fill returns
-(worker PID, fill seconds).  That keeps the hot instrumentation free of
-locks — the thread-safety burden lives in :mod:`repro.obs.metrics`.
+dispatcher's asyncio loop is also one thread).  Pool fills are not traced
+in-flight; instead the engine records *reconstructed* child spans from the
+stats each fill returns (fill seconds, chain seed).  That keeps the hot
+instrumentation free of locks — the thread-safety burden lives in
+:mod:`repro.obs.metrics`.
 
 Finished traces go to a :class:`TraceSink` after a tail-based sampling
 decision: traces whose root span is slower than ``slow_ms``, errored, or
@@ -141,7 +140,7 @@ class Tracer:
     the stack is empty becomes the trace root, and closing it finalises the
     trace, applies the sampling decision, and emits.  ``start_span`` /
     ``end_span`` exist for call sites that cannot use ``with`` (backdated
-    dispatcher queue spans, reconstructed worker fills).
+    dispatcher queue spans, reconstructed pool fills).
     """
 
     def __init__(
@@ -235,10 +234,9 @@ class Tracer:
     ) -> Optional[Span]:
         """Add an already-finished child span under the current span.
 
-        This is how process-shard fills appear in traces: the work ran in a
-        worker process, so the engine reconstructs the span from the stats
-        the worker returned (duration, PID) after the fact.  Returns the
-        span, or ``None`` when no trace is open.
+        This is how pool fills appear in traces: the engine reconstructs the
+        span from the stats the fill returned (duration, chain seed) after
+        the fact.  Returns the span, or ``None`` when no trace is open.
         """
         if not self._stack:
             return None

@@ -15,14 +15,10 @@ from repro.sampling.importance import ImportanceSampler, ImportanceSamplingIntra
 from repro.sampling.mcmc import MetropolisHastingsSampler
 from repro.sampling.batch import BatchRejectionSampler
 from repro.sampling.fillspec import (
-    FillContext,
     FillSpec,
-    PriorSpec,
     build_sampler,
     derive_fill_seed,
     execute_fill,
-    register_fill_context,
-    register_sampler_builder,
 )
 from repro.sampling.ens import (
     effective_number_of_samples,
@@ -57,14 +53,10 @@ __all__ = [
     "ImportanceSamplingIntractableError",
     "MetropolisHastingsSampler",
     "BatchRejectionSampler",
-    "FillContext",
     "FillSpec",
-    "PriorSpec",
     "build_sampler",
     "derive_fill_seed",
     "execute_fill",
-    "register_fill_context",
-    "register_sampler_builder",
     "effective_number_of_samples",
     "ens_from_weights",
     "chi_square_distance",

@@ -14,16 +14,11 @@ identical therefore share one pool and one top-k result, keyed by a canonical
   (``create_session`` / ``recommend`` / ``feedback`` / ``close``) over the
   shared pool repository, a shared top-k result cache, and batched sampling
   across pending sessions.
-* :class:`ShardedPoolRepository` — the fingerprint-partitioned pool state
-  layer: pool keys consistent-hash across N shards, each owning its pools,
-  LRU budget, pinned set and fill construction, with fills grouped per
-  shard and runnable in parallel via a :class:`ShardBackend` (inline or
-  worker processes).  Each fill is
-  described by a picklable :class:`~repro.sampling.fillspec.FillSpec` —
-  plain data resolved by the module-level ``build_sampler`` — which is what
-  lets :class:`ProcessShardBackend` ship fills across the process boundary
-  and escape the GIL.  Fills are key-deterministic, so shard count, backend,
-  and placement never change what is served.
+* :class:`PoolRepository` — the pool state layer: one LRU table of pools
+  keyed by fingerprint, a pinned table, and inline fills, each described by
+  a :class:`~repro.sampling.fillspec.FillSpec` whose RNG seed derives from
+  the pool key.  Fills are key-deterministic, so their order and batching
+  never change what is served.
 * :class:`WarmStartPlanner` — precomputes and pins the empty-prefix pool and
   the top-K first-click pools at engine start so cold sessions never sample.
 * :class:`PoolAdapter` + :class:`ConstraintSimilarityIndex` (approximate pool
@@ -87,21 +82,14 @@ from repro.service.eventlog import (
     RetentionReport,
     mine_click_prefixes,
 )
-from repro.sampling.fillspec import FillContext, FillSpec, build_sampler, execute_fill
+from repro.sampling.fillspec import FillSpec, build_sampler, execute_fill
 from repro.service.pool_cache import CacheStats, LruCache, SamplePoolCache
 from repro.service.pool_repository import (
-    InlineShardBackend,
     LogWarmStartReport,
     PoolFillJob,
-    PoolShard,
-    ProcessShardBackend,
-    SHARD_BACKEND_NAMES,
-    ShardBackend,
-    ShardedPoolRepository,
+    PoolRepository,
     WarmStartPlanner,
     WarmStartReport,
-    build_shard_backend,
-    parse_shard_backend,
 )
 from repro.service.store import (
     JsonSessionStore,
@@ -133,22 +121,14 @@ __all__ = [
     "CacheStats",
     "LruCache",
     "SamplePoolCache",
-    "FillContext",
     "FillSpec",
-    "InlineShardBackend",
     "LogWarmStartReport",
     "PoolFillJob",
-    "PoolShard",
-    "ProcessShardBackend",
-    "SHARD_BACKEND_NAMES",
-    "ShardBackend",
-    "ShardedPoolRepository",
+    "PoolRepository",
     "WarmStartPlanner",
     "WarmStartReport",
     "build_sampler",
-    "build_shard_backend",
     "execute_fill",
-    "parse_shard_backend",
     "SessionStore",
     "MemorySessionStore",
     "JsonSessionStore",

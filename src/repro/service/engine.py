@@ -5,17 +5,14 @@ sessions over one shared catalog.  Per-session state stays tiny (preference
 DAG, counters, RNG); the expensive artifacts are shared across sessions:
 
 * **Sample pools** — keyed by the canonical fingerprint of the session's
-  constraint set and owned by a fingerprint-partitioned
-  :class:`~repro.service.pool_repository.ShardedPoolRepository`: every pool lookup
-  routes by key to its owning shard, each shard has its own LRU budget and
-  pinned (warm) set, and cache fills for different shards are independent
-  work items the shard backend can run in parallel.  On a cache miss the
+  constraint set and owned by one
+  :class:`~repro.service.pool_repository.PoolRepository`: an LRU table plus
+  a pinned (warm) table, filled inline.  On a cache miss the
   engine first *maintains* the session's pre-feedback pool (§3.4: keep the
   still-valid samples, top up the rest) instead of resampling from scratch.
   Fills are **key-deterministic**: the fill sampler's RNG derives from the
-  engine seed plus the pool key, so a pool's contents do not depend on shard
-  placement, shard count, or fill order — 1-shard and N-shard engines serve
-  bit-identical rounds, and a snapshot can reference a pool by fingerprint
+  engine seed plus the pool key, so a pool's contents do not depend on fill
+  order or batching, and a snapshot can reference a pool by fingerprint
   alone.
 * **Top-k results** — for a given pool, ``k`` and semantics the ranked
   "exploit" packages are identical for every session, so they are cached too;
@@ -39,8 +36,7 @@ Every round runs through one pipeline, whether one session asks
    key (per session without pool sharing) by the first rung of the reuse
    ladder that applies — donor adaptation, partial refill, §3.4
    maintenance, fresh fill — and all fills go to the repository as one
-   :meth:`~repro.service.pool_repository.ShardedPoolRepository.fill_many`
-   batch, grouped per shard.
+   :meth:`~repro.service.pool_repository.PoolRepository.fill_many` batch.
 3. **Search** (``search.topk``): one shared walk per ``k`` over every pool
    whose ranked list is not cached.
 4. **Serve and log** (``engine.serve_round``): draw each session's
@@ -83,12 +79,7 @@ from repro.core.profiles import AggregateProfile
 from repro.core.ranking import rank_from_samples
 from repro.obs import Telemetry
 from repro.sampling.base import ConstraintSet, SamplePool
-from repro.sampling.fillspec import (
-    FillContext,
-    FillSpec,
-    PriorSpec,
-    register_fill_context,
-)
+from repro.sampling.fillspec import FillSpec
 from repro.sampling.gaussian_mixture import GaussianMixture
 from repro.sampling.maintenance import partial_refill_split
 from repro.sampling.reweight import residual_resample
@@ -107,11 +98,9 @@ from repro.service.eventlog import (
 from repro.service.pool_cache import LruCache
 from repro.service.pool_repository import (
     PoolFillJob,
-    ShardedPoolRepository,
+    PoolRepository,
     WarmStartPlanner,
     WarmStartReport,
-    build_shard_backend,
-    parse_shard_backend,
 )
 from repro.topk.batch_search import BatchTopKPackageSearcher
 from repro.service.session_manager import (
@@ -184,21 +173,11 @@ class EngineConfig:
         Idle time after which a session expires permanently; ``None`` never
         expires.
     pool_cache_size:
-        Total pool-storage budget of the pool repository, split across its
-        shards.  With a positive budget, the sessions of one call that need
-        the same pool share one build, and later calls find it in the
-        repository.  ``0`` disables pool sharing: every session builds its
-        own pool (the per-user baseline).
-    pool_shards:
-        Number of partitions the repository consistent-hashes pool keys
-        across.  Results are bit-identical for any shard count; sharding
-        changes *where* fills run, never what they produce.
-    pool_shard_backend:
-        ``"inline"`` (sequential on the calling thread, default) or
-        ``"process"`` (a persistent worker-process pool — fills for
-        different shards run in parallel outside the GIL; see
-        :class:`~repro.service.pool_repository.ProcessShardBackend`).  A
-        ``":N"`` suffix overrides the worker count, e.g. ``"process:4"``.
+        Pool-storage budget of the pool repository.  With a positive
+        budget, the sessions of one call that need the same pool share one
+        build, and later calls find it in the repository.  ``0`` disables
+        pool sharing: every session builds its own pool (the per-user
+        baseline).
     topk_cache_size:
         Capacity of the shared top-k result cache.  With this and
         ``pool_cache_size`` both positive, the engine answers each
@@ -249,10 +228,7 @@ class EngineConfig:
         ``"mmap"`` ensures the engine serves from a memory-mapped columnar
         store: a catalog that is already mmap-backed is used as-is; a
         materialized one is written to a temporary columnar store at engine
-        construction and reopened through ``np.memmap``.  Either way the
-        engine's fill context then references the catalog by content digest
-        (store path shipped, not arrays), so process-shard workers mmap the
-        shared store instead of receiving catalog copies — results are
+        construction and reopened through ``np.memmap``.  Results are
         bit-identical across backings.
     seed:
         Engine-level seed; all per-session seeds and per-key fill seeds
@@ -263,8 +239,6 @@ class EngineConfig:
     max_active_sessions: int = 10_000
     session_ttl_seconds: Optional[float] = None
     pool_cache_size: int = 512
-    pool_shards: int = 1
-    pool_shard_backend: str = "inline"
     topk_cache_size: int = 2_048
     use_batch_sampler: bool = True
     maintain_on_miss: bool = True
@@ -287,12 +261,6 @@ class EngineConfig:
             )
         if self.pool_cache_size < 0 or self.topk_cache_size < 0:
             raise ValueError("cache sizes must be >= 0")
-        if self.pool_shards <= 0:
-            raise ValueError(f"pool_shards must be > 0, got {self.pool_shards}")
-        # Accepts "inline" / "process", each optionally suffixed ":N" to
-        # override the worker count; unknown names raise here with the
-        # valid list.
-        parse_shard_backend(self.pool_shard_backend)
         if self.pool_adaptation is not None and self.pool_cache_size == 0:
             raise ValueError(
                 "pool_adaptation requires pool_cache_size > 0 "
@@ -465,31 +433,8 @@ class RecommendationEngine:
             if self.config.seed is not None
             else int(self._seed_rng.integers(0, 2**63 - 1))
         )
-        # The engine's shareable fill state as plain data, registered in the
-        # process-local context registry.  Inline fills resolve it right
-        # back out of the registry; a process backend ships it to its
-        # workers once via their initializer.  Registration is idempotent by
-        # content, so many engines over one prior share one entry.
-        if self.catalog.backing_kind == "mmap" and self.catalog.store_path:
-            # Reference the catalog by content: workers resolve the digest to
-            # the store path and mmap it locally — no arrays over the pipe.
-            self._fill_context = FillContext(
-                prior=PriorSpec.from_mixture(self.prior),
-                catalog_path=self.catalog.store_path,
-                catalog_digest=self.catalog.content_digest(),
-            )
-        else:
-            self._fill_context = FillContext(
-                prior=PriorSpec.from_mixture(self.prior)
-            )
-        self._fill_context_digest = register_fill_context(self._fill_context)
-        self.pool_repository = ShardedPoolRepository(
-            spec_factory=self._fill_spec,
-            num_shards=self.config.pool_shards,
-            capacity=self.config.pool_cache_size,
-            backend=build_shard_backend(
-                self.config.pool_shard_backend, self.config.pool_shards
-            ),
+        self.pool_repository = PoolRepository(
+            self._fill_spec, self.prior, capacity=self.config.pool_cache_size
         )
         self.pool_repository.attach_telemetry(self.telemetry)
         if self.event_log is not None:
@@ -553,8 +498,10 @@ class RecommendationEngine:
         )
 
     def close_repository(self) -> None:
-        """Release the pool repository's shard backend (worker processes, if any)."""
-        self.pool_repository.close()
+        """Does nothing: fills run inline and hold no resources.
+
+        Kept only because ``perfbench/driver.py`` calls it.
+        """
 
     # =============================================================== lifecycle
     def create_session(
@@ -642,18 +589,15 @@ class RecommendationEngine:
     def _fill_spec(
         self, key: str, constraints: ConstraintSet, count: int
     ) -> FillSpec:
-        """The picklable description of one pool fill (the repository seam).
+        """The description of one pool fill (the repository seam).
 
         This is the repository's determinism contract in data form: the spec
-        carries the *derived* RNG seed (engine seed root + key) and a digest
-        reference to the engine's registered fill context, so a pool built
-        for ``key`` is the same array no matter which shard builds it, in
-        what order, under which backend, or in which process — sharded and
-        unsharded engines are bit-identical, re-fills after eviction
-        reproduce the evicted pool, and restore-by-reference can rebuild a
-        missing pool exactly (for pools that were built fresh; maintained
-        pools depend on their sessions' history and are persisted, not
-        re-derived).
+        carries the *derived* RNG seed (engine seed root + key), so a pool
+        built for ``key`` is the same array in whatever order or batch it is
+        filled — re-fills after eviction reproduce the evicted pool, and
+        restore-by-reference can rebuild a missing pool exactly (for pools
+        that were built fresh; maintained pools depend on their sessions'
+        history and are persisted, not re-derived).
         """
         elicitation = self.config.elicitation
         return FillSpec.for_fill(
@@ -664,7 +608,6 @@ class RecommendationEngine:
                 "batch" if self.config.use_batch_sampler else elicitation.sampler
             ),
             seed_root=self._fill_seed_root,
-            context_digest=self._fill_context_digest,
             noise_psi=elicitation.noise_psi,
         )
 
@@ -795,23 +738,18 @@ class RecommendationEngine:
         self.telemetry.annotate(**Counter(path for _build, path, _p, _d in plans))
 
     def _record_fill_span(self, key: str, pool: SamplePool) -> None:
-        """Reconstruct a finished fill as a child span of the open trace.
+        """Record a finished fill as a child span of the open trace.
 
-        Fills execute wherever the shard backend put them — inline or in a
-        worker process — so they cannot open spans themselves;
-        the engine rebuilds the span from the stats the fill returned
-        (``fill_seconds``, and ``fill_worker_pid`` for process fills).  A
-        fill that fell back to MCMC carries the rung that seeded its chain
-        (``chain_seed``): an ``"apex"`` pool may be copies of one point.
+        The span is rebuilt from the stats the fill returned
+        (``fill_seconds``).  A fill that fell back to MCMC carries the rung
+        that seeded its chain (``chain_seed``): an ``"apex"`` pool may be
+        copies of one point.
         """
         attrs = {"key": key, "count": pool.size}
         for name in ("sampler", "chain_seed"):
             value = pool.stats.get(name)
             if value is not None:
                 attrs[name] = value
-        worker_pid = pool.stats.get("fill_worker_pid")
-        if worker_pid is not None:
-            attrs["worker_pid"] = int(worker_pid)
         self.telemetry.record_child(
             "pool.fill", float(pool.stats.get("fill_seconds", 0.0)), **attrs
         )
@@ -1174,36 +1112,12 @@ class RecommendationEngine:
         return self._topk_key_for(entry.pool_key, pool, entry.recommender.config)
 
     def fill_shard_plan(self, session_ids: Sequence[str]) -> Dict[str, int]:
-        """Which shard owns each session's next pool fill.
+        """Always ``{}``: the repository is one table, so no fill has a shard.
 
-        Returns ``{session_id: shard_index}`` for every *pool-missing*
-        session in ``session_ids``: its next round's pool key is absent from
-        the repository, so serving it will trigger a fill on the owning
-        shard.  Sessions whose pool is already live (or pending) and
-        sessions not in memory (swapped out — planning must not force a
-        restore) are omitted.  A single-shard repository (the default) has
-        nothing to group, so its plan is always empty.
-
-        Purely advisory and side-effect free on session state; serving does
-        not consult it, because
-        :meth:`~repro.service.pool_repository.ShardedPoolRepository.fill_many`
-        groups each batch of fills by shard whatever order it arrives in.
+        Kept only because ``perfbench/layers.py`` names it in
+        ``ENGINE_METHODS``.
         """
-        plan: Dict[str, int] = {}
-        if len(self.pool_repository.shards) <= 1:
-            return plan
-        for session_id in session_ids:
-            entry = self.sessions.peek(session_id)
-            if entry is None:
-                continue
-            recommender = entry.recommender
-            if recommender.pending_pool is not None:
-                continue
-            key = pool_key(recommender.constraints, recommender.config.num_samples)
-            if key in self.pool_repository:
-                continue
-            plan[session_id] = self.pool_repository.shard_for(key).index
-        return plan
+        return {}
 
     # ======================================================= snapshot / restore
     def snapshot(self, session_id: str, embed_pool: bool = True) -> dict:
@@ -1688,7 +1602,7 @@ class RecommendationEngine:
         """One tree consolidating every observability surface of the stack.
 
         ``engine`` is :meth:`stats` (EngineStats, which already folds in
-        adaptation, event-log and shard-repository describes),
+        adaptation, event-log and pool-repository describes),
         ``metrics`` is :meth:`metrics_snapshot`, ``telemetry`` describes
         the tracer/sampler, and every registered observable (the dispatcher
         registers itself as ``dispatcher``) appears under its own name.

@@ -106,8 +106,9 @@ class LruCache:
     def pop(self, key: Hashable) -> Optional[Any]:
         """Remove and return the cached value, or ``None`` if absent.
 
-        Statistics are untouched: a pop is ownership transfer (e.g. a pool
-        shard moving an entry to its pinned set), not a lookup or an eviction.
+        Statistics are untouched: a pop is ownership transfer (e.g. the pool
+        repository moving an entry to its pinned table), not a lookup or an
+        eviction.
         """
         return self._entries.pop(key, None)
 

@@ -175,11 +175,8 @@ class LoadReport:
         repository = self.engine_stats.get("pool_repository") or {}
         if repository:
             lines.append(
-                f"  pool repository: shards={repository.get('num_shards', 1)} "
-                f"({repository.get('backend', 'inline')}) "
-                f"fills={repository.get('fills', 0)} "
-                f"multi_shard_fill_batches="
-                f"{repository.get('multi_shard_fill_batches', 0)} "
+                f"  pool repository: fills={repository.get('fills', 0)} "
+                f"fill_batches={repository.get('fill_batches', 0)} "
                 f"pinned={repository.get('pinned', 0)}"
             )
         return "\n".join(lines)
@@ -366,13 +363,6 @@ class AsyncLoadReport:
             f"pools sampled={self.engine_stats.get('pools_sampled', 0)} "
             f"maintained={self.engine_stats.get('pools_maintained', 0)}",
         ]
-        repository = self.engine_stats.get("pool_repository") or {}
-        if repository.get("num_shards", 1) > 1:
-            lines.append(
-                f"  pool repository: shards={repository.get('num_shards')} "
-                f"({repository.get('backend', 'inline')}) "
-                f"fills={repository.get('fills', 0)}"
-            )
         return "\n".join(lines)
 
 

@@ -9,6 +9,7 @@ from repro.core.elicitation import ElicitationConfig
 from repro.core.items import ItemCatalog
 from repro.core.profiles import AggregateProfile
 from repro.sampling.base import ConstraintSet, SamplePool
+from repro.sampling.gaussian_mixture import GaussianMixture
 from repro.service import (
     AdaptationConfig,
     ConstraintSimilarityIndex,
@@ -16,7 +17,7 @@ from repro.service import (
     MemorySessionStore,
     PoolAdapter,
     RecommendationEngine,
-    ShardedPoolRepository,
+    PoolRepository,
 )
 
 
@@ -175,8 +176,8 @@ def build_repository_with(key, pool):
         # adaptation must never trigger a fill
         raise AssertionError("spec factory must not be called")
 
-    repository = ShardedPoolRepository(
-        spec_factory=fail_spec_factory, num_shards=1, capacity=8
+    repository = PoolRepository(
+        fail_spec_factory, GaussianMixture.default_prior(2, rng=0), capacity=8
     )
     repository.put(key, pool)
     return repository

@@ -52,7 +52,11 @@ class StubEngine:
 
 
 class ShardAwareStubEngine(StubEngine):
-    """Stub with the sharded-engine planning surface (``fill_shard_plan``)."""
+    """Stub with a ``fill_shard_plan`` the dispatcher must never call.
+
+    The real engine keeps ``fill_shard_plan`` (always ``{}``) only because
+    ``perfbench/layers.py`` names it.
+    """
 
     def __init__(self, plan=None, **kwargs):
         super().__init__(**kwargs)
@@ -343,8 +347,8 @@ class TestDefaultWindowFlushesAtLoopIdle:
 class TestShardAwareDispatch:
     """Windows reach the engine in arrival order; the dispatcher never plans.
 
-    Grouping pool fills by shard is ``ShardedPoolRepository.fill_many``'s
-    job, and it does so whatever order a window arrives in.
+    Each window's pool fills go to ``PoolRepository.fill_many`` as one batch,
+    whatever order the window arrives in.
     """
 
     def _dispatch(self, engine, ids):
@@ -358,30 +362,21 @@ class TestShardAwareDispatch:
 
         return asyncio.run(main())
 
-    def test_window_groups_pool_missing_sessions_by_shard(
+    def test_window_fills_its_missing_pools_in_one_batch(
         self, serving_catalog, serving_profile
     ):
-        """An interleaved window of a 4-shard engine fills once per shard."""
-        engine = make_engine(serving_catalog, serving_profile, pool_shards=4)
+        """An interleaved window of distinct-prefix sessions fills once."""
+        engine = make_engine(serving_catalog, serving_profile)
         repository = engine.pool_repository
         fill_batches = []
-        run_fill_batches = repository.backend.run_fill_batches
+        fill_many = repository.fill_many
 
-        def record(batches):
-            fill_batches.append(
-                [(shard.index, [job.key for job in jobs]) for shard, jobs in batches]
-            )
-            return run_fill_batches(batches)
+        def record(jobs):
+            jobs = list(jobs)
+            fill_batches.append([job.key for job in jobs])
+            return fill_many(jobs)
 
-        repository.backend.run_fill_batches = record
-        plan_calls = []
-        fill_shard_plan = engine.fill_shard_plan
-
-        def plan(session_ids):
-            plan_calls.append(list(session_ids))
-            return fill_shard_plan(session_ids)
-
-        engine.fill_shard_plan = plan
+        repository.fill_many = record
         ids = [engine.create_session(seed=100 + i) for i in range(6)]
         for round_index in range(3):
             rounds = self._dispatch(engine, ids)
@@ -390,14 +385,10 @@ class TestShardAwareDispatch:
                 engine.feedback(
                     session_id, (index + round_index) % len(round_.presented)
                 )
-        assert plan_calls == []
-        assert any(len(batch) > 1 for batch in fill_batches)
-        for batch in fill_batches:
-            shards = [index for index, _keys in batch]
-            assert len(shards) == len(set(shards))
-            for index, keys in batch:
-                assert all(repository.shard_for(key).index == index for key in keys)
-        engine.close_repository()
+        assert len(fill_batches) <= 3  # at most one fill batch per window
+        assert any(len(keys) > 1 for keys in fill_batches)
+        for keys in fill_batches:
+            assert len(keys) == len(set(keys))
 
     def test_sessions_with_live_pools_keep_arrival_order_after_groups(self):
         """A plan that would reorder is never asked for, in any window."""

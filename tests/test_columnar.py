@@ -20,9 +20,7 @@ from repro.data.columnar import (
     CatalogPredicateSet,
     CategoryPredicate,
     NumericRangePredicate,
-    open_catalog_by_digest,
     open_catalog_store,
-    register_catalog_location,
     write_catalog_store,
 )
 from repro.service.engine import EngineConfig, RecommendationEngine
@@ -338,54 +336,8 @@ class TestEngineBackings:
         mapped = RecommendationEngine(
             catalog, profile, EngineConfig(catalog_backing="mmap", **config)
         )
-        try:
-            assert mapped.catalog.backing_kind == "mmap"
-            assert self._rounds(materialized) == self._rounds(mapped)
-        finally:
-            materialized.close_repository()
-            mapped.close_repository()
-
-    def test_mmap_engine_fill_context_references_catalog(self):
-        catalog = _nullable_catalog(seed=61, n=80)
-        profile = AggregateProfile(["sum", "avg", "max", "min"])
-        engine = RecommendationEngine(
-            catalog,
-            profile,
-            EngineConfig(
-                elicitation=ElicitationConfig(num_samples=8, max_package_size=2),
-                catalog_backing="mmap",
-                seed=1,
-            ),
-        )
-        try:
-            context = engine._fill_context
-            assert context.catalog_digest == catalog.content_digest()
-            assert context.catalog_path == engine.catalog.store_path
-            # The registry resolves the digest to the (cached) opened catalog.
-            opened = open_catalog_by_digest(context.catalog_digest)
-            assert opened.num_items == catalog.num_items
-            # Served pools are stamped with the catalog they were filled under.
-            session_id = engine.create_session()
-            engine.recommend(session_id)
-            pools = [
-                engine.pool_repository.get(key)
-                for key in engine.pool_repository.keys()
-            ]
-            stamped = [p for p in pools if p is not None and "catalog_digest" in p.stats]
-            assert stamped, "no pool carried a catalog_digest stamp"
-            for pool in stamped:
-                assert pool.stats["catalog_digest"] == context.catalog_digest
-                assert pool.stats["catalog_items"] == catalog.num_items
-        finally:
-            engine.close_repository()
-
-    def test_digest_registry_round_trip(self, tmp_path):
-        catalog = _nullable_catalog(seed=62, n=25)
-        digest = write_catalog_store(catalog, str(tmp_path / "s"))
-        register_catalog_location(digest, str(tmp_path / "s"))
-        opened = open_catalog_by_digest(digest)
-        assert opened.content_digest() == digest
-        assert open_catalog_by_digest(digest) is opened  # cached per process
+        assert mapped.catalog.backing_kind == "mmap"
+        assert self._rounds(materialized) == self._rounds(mapped)
 
     def test_invalid_backing_rejected(self):
         with pytest.raises(ValueError, match="catalog_backing"):

@@ -242,5 +242,4 @@ class TestServingPaths:
                 engine.feedback(session_id, click)
                 resident.feedback(session_id, click)
         assert engine.stats().sessions_restored > 0
-        engine.close_repository()
         engine.event_log.close()

@@ -104,7 +104,6 @@ def _served_rounds_digest(log_dir: str):
             digest.update(f"{index}:{shown}\n".encode())
             engine.feedback(session_id, user.click(round_.presented))
     stats = engine.stats()
-    engine.close_repository()
     engine.event_log.close()
     return digest.hexdigest(), stats
 

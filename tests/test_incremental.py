@@ -6,7 +6,7 @@ Three contracts, each pinned across random trajectories:
   pool *content* (reweighted survivors + a deficit fill instead of a
   maintained/fresh build), so its contract is *determinism*, pinned on every
   axis the repo already guarantees for fresh builds: re-running the same
-  trajectory, changing the shard count, swapping sessions out through the
+  trajectory, reordering its pool fills, swapping sessions out through the
   event log, and replaying a restart all serve the same bytes.
 * **Batched search** (``recommend_many``'s one walk across sessions) serves
   the same rounds as serial ``recommend`` on exact searches.
@@ -226,14 +226,31 @@ def test_partial_refill_rerun_determinism(trial_seed):
 
 @pytest.mark.parametrize("trial_seed", range(130, 160))
 def test_partial_refill_shard_invariance(trial_seed):
-    """1-shard and 3-shard fused engines serve bit-identical rounds."""
+    """However a fused engine's fill batches are split — here into one pool
+    per fill, run in reverse — it serves the same rounds."""
     scenario = Scenario(trial_seed)
+
+    def reversed_fills():
+        engine = scenario.engine(partial_refill=True)
+        repository = engine.pool_repository
+
+        def fill_many(jobs):
+            jobs = list(jobs)
+            pools = {
+                job.key: repository.fill_one(job.key, job.constraints, job.count)
+                for job in reversed(jobs)
+            }
+            return {job.key: pools[job.key] for job in jobs}
+
+        repository.fill_many = fill_many
+        return engine
+
     assert_equivalent_trajectories(
         scenario,
-        lambda: scenario.engine(partial_refill=True, pool_shards=1),
-        lambda: scenario.engine(partial_refill=True, pool_shards=3),
-        "1-shard",
-        "3-shard",
+        lambda: scenario.engine(partial_refill=True),
+        reversed_fills,
+        "arrival-order",
+        "reversed",
     )
 
 

@@ -1,9 +1,9 @@
 """Integration tests: telemetry wired through the serving stack.
 
-Exercises the tentpole end to end: span trees for per-session, batched, and
-process-shard requests (dispatcher admission → engine → pool fill → top-k
-search → event-log append), alarm counters + structured trace events for
-replay divergence and dispatcher shedding, per-shard fill counters, the
+Exercises telemetry end to end: span trees for per-session, batched and
+dispatched requests (dispatcher admission → engine → pool fill → top-k search →
+event-log append), alarm counters + structured trace events for replay
+divergence and dispatcher shedding, pool fill counters, the
 consolidated ``engine.observe()`` tree, and the guarantee that telemetry
 never changes what is served.
 """
@@ -157,19 +157,17 @@ class TestRequestSpanTrees:
                 assert children_of(trace, serve["span_id"]) == ["eventlog.append"]
         engine.event_log.close()
 
-    def test_process_shard_request_trace_end_to_end(
+    def test_dispatched_request_trace_end_to_end(
         self, serving_catalog, serving_profile, tmp_path
     ):
-        """The acceptance bar: dispatcher → engine → fill → search → log,
-        for a process-shard request, with the fill's worker PID on its span."""
+        """dispatcher → engine → fill → search → log, for a batched request
+        through the async server."""
         telemetry = traced_telemetry()
         engine = make_engine(
             serving_catalog,
             serving_profile,
             telemetry,
             store=EventLogStore(str(tmp_path / "log")),
-            pool_shards=2,
-            pool_shard_backend="process",
         )
 
         async def drive():
@@ -189,8 +187,7 @@ class TestRequestSpanTrees:
             if t["root"] == "dispatcher.dispatch"
         ]
         assert traces, "no dispatcher-rooted trace captured"
-        trace = traces[0]
-        names = span_names(trace)
+        names = span_names(traces[0])
         for required in (
             "dispatcher.queue_wait",
             "engine.recommend_many",
@@ -199,13 +196,7 @@ class TestRequestSpanTrees:
             "eventlog.append",
         ):
             assert required in names, f"missing span {required}"
-        fills = [s for s in trace["spans"] if s["name"] == "pool.fill"]
-        import os
-
-        worker_pids = {s["attrs"].get("worker_pid") for s in fills}
-        assert worker_pids and None not in worker_pids
-        assert os.getpid() not in worker_pids  # fills ran out-of-process
-        engine.close_repository()
+        engine.event_log.close()
 
     def test_telemetry_does_not_change_served_rounds(
         self, serving_catalog, serving_profile
@@ -316,29 +307,21 @@ class TestAlarms:
 
 # =========================================================== metrics wiring
 class TestMetricsWiring:
-    def test_sharded_fill_counters(self, serving_catalog, serving_profile):
+    def test_fill_counters(self, serving_catalog, serving_profile):
         telemetry = traced_telemetry()
-        engine = make_engine(
-            serving_catalog, serving_profile, telemetry, pool_shards=4
-        )
+        engine = make_engine(serving_catalog, serving_profile, telemetry)
         ids = [engine.create_session(seed=100 + i) for i in range(6)]
         for _ in range(2):
             rounds = engine.recommend_many(ids)
             for index, (sid, r) in enumerate(zip(ids, rounds)):
                 engine.feedback(sid, index % len(r.presented))
         snap = engine.metrics_snapshot()
-        fills_by_shard = snap["repro_pool_fills_total"]
-        assert sum(fills_by_shard.values()) == engine.pool_repository.fills
-        samples = snap["repro_pool_samples_filled_total"]
-        assert sum(samples.values()) == sum(
-            shard.samples_filled for shard in engine.pool_repository.shards
-        )
-        # Fill latency histograms observed once per fill.
-        latency = snap["repro_pool_fill_seconds"]
-        assert sum(h["count"] for h in latency.values()) == (
-            engine.pool_repository.fills
-        )
-        engine.close_repository()
+        repository = engine.pool_repository
+        assert repository.fills > 1
+        assert snap["repro_pool_fills_total"] == repository.fills
+        assert snap["repro_pool_samples_filled_total"] == repository.samples_filled
+        # Fill latency histogram observed once per fill.
+        assert snap["repro_pool_fill_seconds"]["count"] == repository.fills
 
     def test_metrics_snapshot_mirrors_engine_stats(
         self, serving_catalog, serving_profile
@@ -358,13 +341,13 @@ class TestMetricsWiring:
     def test_stats_as_dict_is_a_copy_of_every_field(
         self, serving_catalog, serving_profile
     ):
-        engine = make_engine(serving_catalog, serving_profile, pool_shards=2)
+        engine = make_engine(serving_catalog, serving_profile)
         engine.recommend(engine.create_session())
         stats = engine.stats()
         plain = stats.as_dict()
         assert list(plain) == [f.name for f in dataclasses.fields(stats)]
         plain["topk_cache"].clear()
-        plain["pool_repository"]["per_shard"][0]["fills"] = -1
+        plain["pool_repository"]["fills"] = -1
         assert stats.topk_cache == engine.stats().topk_cache
         assert stats.pool_repository == engine.stats().pool_repository
 

@@ -1,16 +1,18 @@
-"""Tests for the fingerprint-partitioned pool repository and warm starts.
+"""Tests for the pool repository and warm starts.
 
-Covers the tentpole guarantees of the sharded pool service: consistent-hash
-routing stability, per-shard LRU + pinning semantics, key-deterministic fills
-(identical pools regardless of shard count, fill grouping, or backend —
-including the process backend, whose fills run in worker processes),
-bit-identical engine recommendations for 1 vs 4 shards, and the
-WarmStartPlanner contract that cold sessions never sample.
+Covers the pool table's LRU + pinning semantics, key-deterministic fills
+(identical pools whatever the fill order or batching, and a refill after
+eviction reproducing the evicted pool), the apex-seed alarm every fill
+passes, fills staying in the serving process, and the WarmStartPlanner
+contract that cold sessions never sample.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,93 +21,43 @@ from repro.core.elicitation import ElicitationConfig
 from repro.core.items import ItemCatalog
 from repro.core.profiles import AggregateProfile
 from repro.data.columnar import NumericRangePredicate
+from repro.obs import Telemetry
 from repro.sampling.base import ConstraintSet, SamplePool
-from repro.sampling.fillspec import (
-    FillContext,
-    FillSpec,
-    PriorSpec,
-    register_fill_context,
-    register_sampler_builder,
-)
-from repro.sampling.fillspec import _SAMPLER_BUILDERS
-from repro.sampling.rejection import RejectionSampler
+from repro.sampling.fillspec import FillSpec
 from repro.sampling.gaussian_mixture import GaussianMixture
 from repro.service import (
     EngineConfig,
-    InlineShardBackend,
     PoolFillJob,
-    ProcessShardBackend,
+    PoolRepository,
     RecommendationEngine,
-    ShardedPoolRepository,
-    build_shard_backend,
-    parse_shard_backend,
 )
 
 NUM_FEATURES = 3
-
-
-def make_spec_factory(prior=None, sampler="rejection", seed_root=0):
-    """A key-deterministic FillSpec factory (the engine's contract, in miniature)."""
-    prior = prior or GaussianMixture.default_prior(NUM_FEATURES, rng=0)
-    digest = register_fill_context(FillContext(prior=PriorSpec.from_mixture(prior)))
-
-    def factory(key: str, constraints: ConstraintSet, count: int) -> FillSpec:
-        return FillSpec.for_fill(
-            key,
-            constraints,
-            count,
-            sampler=sampler,
-            seed_root=seed_root,
-            context_digest=digest,
-        )
-
-    return factory
+SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def make_pool(size=4):
     return SamplePool.unweighted(np.random.default_rng(0).random((size, NUM_FEATURES)))
 
 
-def repo(**kwargs):
-    defaults = dict(spec_factory=make_spec_factory(), num_shards=4, capacity=16)
-    defaults.update(kwargs)
-    return ShardedPoolRepository(**defaults)
+def repo(capacity=16):
+    """A repository whose fills are key-seeded rejection fills (the engine's
+    contract, in miniature)."""
 
+    def spec_factory(key: str, constraints: ConstraintSet, count: int) -> FillSpec:
+        return FillSpec.for_fill(key, constraints, count, sampler="rejection", seed_root=0)
 
-# ==================================================================== routing
-class TestConsistentHashing:
-    def test_routing_is_deterministic_across_instances(self):
-        a, b = repo(), repo()
-        keys = [f"n40:key-{i}" for i in range(50)]
-        assert [a.shard_for(k).index for k in keys] == [
-            b.shard_for(k).index for k in keys
-        ]
-
-    def test_keys_spread_across_all_shards(self):
-        repository = repo()
-        keys = {f"n40:key-{i}" for i in range(200)}
-        owners = {repository.shard_for(k).index for k in keys}
-        assert owners == {0, 1, 2, 3}
-
-    def test_resizing_moves_only_a_fraction_of_keys(self):
-        """The consistent-hash property: N -> N+1 shards moves ~1/(N+1) keys."""
-        keys = [f"n40:key-{i}" for i in range(400)]
-        four = repo(num_shards=4)
-        five = repo(num_shards=5)
-        moved = sum(
-            four.shard_for(k).index != five.shard_for(k).index for k in keys
-        )
-        assert moved / len(keys) < 0.45  # modulo hashing would move ~0.8
-
-    def test_single_shard_routes_everything_to_shard_zero(self):
-        repository = repo(num_shards=1)
-        assert all(
-            repository.shard_for(f"k{i}").index == 0 for i in range(20)
-        )
+    return PoolRepository(
+        spec_factory,
+        GaussianMixture.default_prior(NUM_FEATURES, rng=0),
+        capacity=capacity,
+    )
 
 
 # ============================================================ storage + pinning
 class TestShardStorage:
+    """The pool table: LRU entries, pinned entries, and their statistics."""
+
     def test_get_put_routes_by_key(self):
         repository = repo()
         pool = make_pool()
@@ -113,21 +65,12 @@ class TestShardStorage:
         assert repository.get("a") is pool
         assert "a" in repository
         assert len(repository) == 1
-        owner = repository.shard_for("a")
-        assert owner.cache.stats.hits == 1
-
-    def test_miss_counts_against_the_owning_shard(self):
-        repository = repo()
         assert repository.get("nope") is None
-        assert repository.shard_for("nope").cache.stats.misses == 1
+        assert repository.stats.hits == 1
         assert repository.stats.misses == 1
 
-    def test_capacity_splits_across_shards(self):
-        repository = repo(num_shards=4, capacity=8)
-        assert all(shard.capacity == 2 for shard in repository.shards)
-
     def test_pinned_pools_survive_eviction_pressure(self):
-        repository = repo(num_shards=1, capacity=2)
+        repository = repo(capacity=2)
         hot = make_pool()
         repository.pin("hot", hot)
         for i in range(10):
@@ -136,7 +79,7 @@ class TestShardStorage:
         assert "hot" in repository.pinned_keys()
 
     def test_pin_promotes_an_existing_lru_entry(self):
-        repository = repo(num_shards=1, capacity=2)
+        repository = repo(capacity=2)
         pool = make_pool()
         repository.put("a", pool)
         repository.pin("a")
@@ -152,7 +95,7 @@ class TestShardStorage:
         """Review regression: pinning a key that is also LRU-cached must not
         leave a duplicate behind (evict() would half-work and len() double
         count)."""
-        repository = repo(num_shards=1)
+        repository = repo()
         lru_copy = make_pool()
         repository.put("a", lru_copy)
         pinned_copy = make_pool()
@@ -164,7 +107,7 @@ class TestShardStorage:
         assert len(repository) == 0
 
     def test_unpin_returns_the_pool_to_lru_management(self):
-        repository = repo(num_shards=1, capacity=1)
+        repository = repo(capacity=1)
         repository.pin("a", make_pool())
         repository.unpin("a")
         assert "a" not in repository.pinned_keys()
@@ -207,25 +150,34 @@ class TestFills:
         b = repository.fill_one("k", self.CONSTRAINTS, 12)
         np.testing.assert_array_equal(a.samples, b.samples)
 
-    def test_fills_are_independent_of_shard_count(self):
-        jobs = [
-            PoolFillJob(f"k{i}", self.CONSTRAINTS, 10) for i in range(8)
-        ]
-        one = repo(num_shards=1).fill_many(jobs)
-        four = repo(num_shards=4).fill_many(jobs)
-        assert set(one) == set(four)
-        for key in one:
-            np.testing.assert_array_equal(one[key].samples, four[key].samples)
-
-    def test_fill_many_groups_per_shard(self):
+    def test_fill_order_and_batching_are_bit_identical(self):
+        """A pool depends on its key alone: batched, reversed or one at a
+        time, every fill returns the same arrays, and a refill after
+        ``evict`` reproduces the evicted pool (restore-by-reference relies
+        on this)."""
+        jobs = [PoolFillJob(f"k{i}", self.CONSTRAINTS, 10) for i in range(8)]
         repository = repo()
-        jobs = [PoolFillJob(f"k{i}", self.CONSTRAINTS, 5) for i in range(20)]
-        pools = repository.fill_many(jobs)
-        assert set(pools) == {job.key for job in jobs}
+        batched = repository.fill_many(jobs)
+        reversed_ = repo().fill_many(list(reversed(jobs)))
+        single = repo()
+        one_by_one = {
+            job.key: single.fill_one(job.key, job.constraints, job.count)
+            for job in jobs
+        }
+        assert list(batched) == [job.key for job in jobs]
+        assert repository.fills == len(jobs)
         assert repository.fill_batches == 1
-        assert repository.multi_shard_fill_batches == 1
-        assert sum(shard.fills for shard in repository.shards) == 20
-        assert sum(shard.fills > 0 for shard in repository.shards) >= 2
+        for other in (reversed_, one_by_one):
+            assert set(other) == set(batched)
+            for key, pool in batched.items():
+                np.testing.assert_array_equal(other[key].samples, pool.samples)
+                np.testing.assert_array_equal(other[key].weights, pool.weights)
+
+        repository.put("k3", batched["k3"])
+        assert repository.evict("k3")
+        refilled = repository.fill_one("k3", self.CONSTRAINTS, 10)
+        np.testing.assert_array_equal(refilled.samples, batched["k3"].samples)
+        np.testing.assert_array_equal(refilled.weights, batched["k3"].weights)
 
     def test_fill_many_with_no_jobs_is_a_noop(self):
         repository = repo()
@@ -235,169 +187,129 @@ class TestFills:
     def test_describe_reports_topology(self):
         repository = repo()
         repository.pin("a", make_pool())
-        info = repository.describe()
-        assert info["num_shards"] == 4
-        assert info["backend"] == "inline"
-        assert info["pinned"] == 1
-        assert len(info["per_shard"]) == 4
+        repository.put("b", make_pool())
+        repository.fill_one("k", self.CONSTRAINTS, 5)
+        assert repository.describe() == {
+            "capacity": 16,
+            "entries": 2,
+            "pinned": 1,
+            "fills": 1,
+            "samples_filled": 5,
+            "fill_batches": 0,
+        }
+
+    def test_capacity_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="capacity"):
+            repo(capacity=-1)
 
 
-# ============================================================== backend builder
-class TestShardBackends:
-    def test_build_by_name(self):
-        assert build_shard_backend("inline", 4).name == "inline"
+# ================================================================ apex alarm
+class TestApexSeedAlarm:
+    """Every fill passes ``record_fill``, which alarms on apex-seeded chains."""
 
-    def test_process_backend_by_name(self):
-        backend = build_shard_backend("process", 4)
-        assert backend.name == "process"
-        assert backend.max_workers == 4
-        backend.close()
+    def _engine(self, **config_overrides):
+        catalog = ItemCatalog(np.random.default_rng(11).random((30, 3)))
+        telemetry = Telemetry.disabled()
+        engine = RecommendationEngine(
+            catalog,
+            AggregateProfile(["sum", "avg", "max"]),
+            EngineConfig(
+                elicitation=fast_elicitation_config(sampler="rejection"),
+                seed=1,
+                **config_overrides,
+            ),
+            telemetry=telemetry,
+        )
+        return engine, telemetry
 
-    def test_worker_count_override_suffix(self):
-        backend = build_shard_backend("process:2", 8)
-        assert backend.max_workers == 2
-        backend.close()
-        backend = build_shard_backend("process:3", 8)
-        assert backend.max_workers == 3
-        backend.close()
+    def test_an_empty_interior_cone_raises_the_alarm(self):
+        """``[d; -d]`` leaves only a hyperplane: the batch sampler falls back
+        to MCMC, and no rung finds an interior point to seed the chain."""
+        engine, telemetry = self._engine()
+        direction = np.array([[0.5, -0.2, 0.1]])
+        cone = ConstraintSet(np.vstack([direction, -direction]))
+        key = engine._pool_key(cone, 20)
+        pool = engine.pool_repository.fill_many([PoolFillJob(key, cone, 20)])[key]
+        assert pool.stats["chain_seed"] == "apex"
+        assert telemetry.alarm_count("pool_apex_seed") == 1
 
-    def test_unknown_name_rejected_with_the_valid_list(self):
-        with pytest.raises(ValueError, match="inline.*process"):
-            build_shard_backend("gpu", 4)
-        with pytest.raises(ValueError, match="inline.*process"):
-            parse_shard_backend("thread")
-        with pytest.raises(ValueError, match="worker-count"):
-            build_shard_backend("process:zero", 4)
-        with pytest.raises(ValueError, match="worker-count"):
-            build_shard_backend("process:0", 4)
-
-    def test_parse_shard_backend(self):
-        assert parse_shard_backend("inline") == ("inline", None)
-        assert parse_shard_backend("process:6") == ("process", 6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardedPoolRepository(spec_factory=make_spec_factory(), num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedPoolRepository(spec_factory=make_spec_factory(), capacity=-1)
-        with pytest.raises(ValueError):
-            ProcessShardBackend(max_workers=0)
-        with pytest.raises(ValueError, match="required"):
-            ShardedPoolRepository()
+    def test_a_rejection_filled_pool_raises_no_alarm(self):
+        engine, telemetry = self._engine(use_batch_sampler=False)
+        engine.recommend(engine.create_session(seed=5))
+        assert engine.pool_repository.fills == 1
+        assert telemetry.alarm_count("pool_apex_seed") == 0
 
 
-# ============================================================ process backend
-class TestProcessShardBackend:
-    CONSTRAINTS = ConstraintSet(np.array([[1.0, 0.0, 0.0]]))
-
-    def test_matches_inline_results(self):
-        jobs = [PoolFillJob(f"k{i}", self.CONSTRAINTS, 10) for i in range(8)]
-        inline = repo(backend=InlineShardBackend()).fill_many(jobs)
-        process_repo = repo(backend=ProcessShardBackend(max_workers=4))
-        processed = process_repo.fill_many(jobs)
-        assert set(inline) == set(processed)
-        for key in inline:
-            np.testing.assert_array_equal(
-                inline[key].samples, processed[key].samples
-            )
-            np.testing.assert_array_equal(
-                inline[key].weights, processed[key].weights
-            )
-        process_repo.close()
-
-    def test_fills_run_in_worker_processes(self):
-        process_repo = repo(backend=ProcessShardBackend(max_workers=2))
-        jobs = [PoolFillJob(f"k{i}", self.CONSTRAINTS, 5) for i in range(6)]
-        pools = process_repo.fill_many(jobs)
-        worker_pids = {p.stats["fill_worker_pid"] for p in pools.values()}
-        assert worker_pids  # every pool records where it was built
-        assert os.getpid() not in worker_pids
-        assert sum(shard.fills for shard in process_repo.shards) == 6
-        process_repo.close()
-
-    def test_worker_crash_recovers_via_retry(self, tmp_path):
-        """First worker dies mid-fill; the retry on a fresh pool succeeds."""
-        sentinel = tmp_path / "crashed-once"
-
-        def crash_once_builder(spec, prior, rng):
-            class CrashOnceSampler:
-                def sample(self, count, constraints):
-                    if not sentinel.exists():
-                        sentinel.write_text("boom")
-                        os._exit(13)  # simulate an OOM-kill / segfault
-                    return RejectionSampler(prior, rng=rng).sample(
-                        count, constraints
-                    )
-
-            return CrashOnceSampler()
-
-        register_sampler_builder("crash-once", crash_once_builder)
-        try:
-            backend = ProcessShardBackend(max_workers=2, start_method="fork")
-            repository = repo(
-                spec_factory=make_spec_factory(sampler="crash-once"),
-                backend=backend,
-            )
-            jobs = [PoolFillJob(f"k{i}", self.CONSTRAINTS, 5) for i in range(4)]
-            pools = repository.fill_many(jobs)
-            assert set(pools) == {job.key for job in jobs}
-            assert backend.worker_restarts == 1
-            assert backend.inline_fallbacks == 0
-            # the retried fills still ran out-of-process
-            assert os.getpid() not in {
-                p.stats["fill_worker_pid"] for p in pools.values()
-            }
-            repository.close()
-        finally:
-            _SAMPLER_BUILDERS.pop("crash-once", None)
-
-    def test_persistent_crash_falls_back_inline_without_poisoning(self):
-        """Both attempts die → fills run inline; the next batch uses workers."""
-        main_pid = os.getpid()
-
-        def crash_in_workers_builder(spec, prior, rng):
-            class CrashInWorkersSampler:
-                def sample(self, count, constraints):
-                    if os.getpid() != main_pid:
-                        os._exit(13)
-                    return RejectionSampler(prior, rng=rng).sample(
-                        count, constraints
-                    )
-
-            return CrashInWorkersSampler()
-
-        register_sampler_builder("crash-in-workers", crash_in_workers_builder)
-        try:
-            backend = ProcessShardBackend(max_workers=2, start_method="fork")
-            repository = repo(
-                spec_factory=make_spec_factory(sampler="crash-in-workers"),
-                backend=backend,
-            )
-            jobs = [PoolFillJob(f"k{i}", self.CONSTRAINTS, 5) for i in range(4)]
-            pools = repository.fill_many(jobs)
-            assert set(pools) == {job.key for job in jobs}
-            assert backend.worker_restarts == 2
-            assert backend.inline_fallbacks == 1
-            # inline fallback output is the same deterministic fill
-            reference = repo().fill_many(jobs)
-            for key in reference:
-                np.testing.assert_array_equal(
-                    reference[key].samples, pools[key].samples
-                )
-            # the shard is not poisoned: a healthy batch goes back out-of-process
-            healthy_repo = repo(backend=backend)
-            healthy = healthy_repo.fill_many(
-                [PoolFillJob(f"h{i}", self.CONSTRAINTS, 5) for i in range(4)]
-            )
-            assert os.getpid() not in {
-                p.stats["fill_worker_pid"] for p in healthy.values()
-            }
-            repository.close()
-        finally:
-            _SAMPLER_BUILDERS.pop("crash-in-workers", None)
+# ============================================================ fills in process
+def _process_pool_imports(path):
+    """Imports of ``multiprocessing`` or ``concurrent.futures`` in ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [
+            module
+            for module in modules
+            if module.split(".")[0] == "multiprocessing"
+            or module.startswith("concurrent.futures")
+        ]
+    return found
 
 
-# ======================================================== engine-level sharding
+class TestFillsStayInProcess:
+    """The AST form of ruff's ``TID251`` ban on process pools in ``src/``."""
+
+    def test_no_library_module_imports_a_process_pool(self):
+        offenders = {}
+        for directory, _subdirs, files in os.walk(SRC_ROOT):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    found = _process_pool_imports(path)
+                    if found:
+                        offenders[os.path.relpath(path, SRC_ROOT)] = found
+        assert offenders == {}
+
+    def test_the_scan_sees_every_import_form(self, tmp_path):
+        source = tmp_path / "probe.py"
+        source.write_text(
+            "import multiprocessing.pool\n"
+            "from concurrent import futures\n"
+            "def f():\n"
+            "    from concurrent.futures import ProcessPoolExecutor\n"
+        )
+        assert _process_pool_imports(str(source)) == [
+            "multiprocessing.pool",
+            "concurrent.futures",
+            "concurrent.futures",
+            "concurrent.futures.ProcessPoolExecutor",
+        ]
+
+    def test_import_repro_loads_no_process_pool(self):
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'multiprocessing'"
+                " or m == 'concurrent.futures.process'))",
+            ],
+            env={**os.environ, "PYTHONPATH": SRC_ROOT},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
+
+# ============================================================ engine-level fills
 @pytest.fixture
 def serving_catalog() -> ItemCatalog:
     rng = np.random.default_rng(11)
@@ -449,84 +361,13 @@ def run_heterogeneous(engine, num_sessions=6, rounds=3):
 
 
 class TestShardedEngineEquivalence:
-    def test_four_shards_bit_identical_to_one_shard(
-        self, serving_catalog, serving_profile
-    ):
-        """Sharding changes where fills run, never what is served."""
-        one = make_engine(serving_catalog, serving_profile, pool_shards=1)
-        four = make_engine(serving_catalog, serving_profile, pool_shards=4)
-        assert run_heterogeneous(one) == run_heterogeneous(four)
-        assert four.stats().pool_repository["multi_shard_fill_batches"] >= 1
-
-    def test_four_process_shards_bit_identical_to_inline(
-        self, serving_catalog, serving_profile
-    ):
-        """The ISSUE acceptance bar: process-backed shards serve the same rounds.
-
-        Fills demonstrably execute in worker processes (distinct PIDs), yet
-        every presented list matches the unsharded inline engine exactly.
-        """
-        inline = make_engine(serving_catalog, serving_profile, pool_shards=1)
-        process = make_engine(
-            serving_catalog,
-            serving_profile,
-            pool_shards=4,
-            pool_shard_backend="process",
-        )
-        assert run_heterogeneous(inline) == run_heterogeneous(process)
-        worker_pids = set()
-        for shard in process.pool_repository.shards:
-            for key in shard.keys():
-                pid = shard.peek(key).stats.get("fill_worker_pid")
-                if pid is not None:
-                    worker_pids.add(pid)
-        assert worker_pids  # fills actually left the engine process
-        assert os.getpid() not in worker_pids
-        repo_stats = process.stats().pool_repository
-        assert repo_stats["backend"] == "process"
-        assert repo_stats["batches_dispatched"] >= 1
-        assert repo_stats["worker_restarts"] == 0
-        assert repo_stats["inline_fallbacks"] == 0
-        process.close_repository()
-        inline.close_repository()
-
-    def test_engine_accepts_worker_count_suffix(
-        self, serving_catalog, serving_profile
-    ):
-        engine = make_engine(
-            serving_catalog,
-            serving_profile,
-            pool_shards=4,
-            pool_shard_backend="process:2",
-        )
-        assert engine.pool_repository.backend.max_workers == 2
-        engine.close_repository()
-        with pytest.raises(ValueError, match="valid backends"):
-            make_engine(
-                serving_catalog, serving_profile, pool_shard_backend="mpi"
-            )
-
-    def test_fill_shard_plan_reports_pool_missing_sessions(
-        self, serving_catalog, serving_profile
-    ):
-        engine = make_engine(serving_catalog, serving_profile, pool_shards=4)
-        ids = [engine.create_session(seed=100 + i) for i in range(4)]
-        plan = engine.fill_shard_plan(ids)
-        # every cold session targets the (missing) empty-prefix pool, which
-        # exactly one shard owns
-        assert set(plan) == set(ids)
-        assert len(set(plan.values())) == 1
-        engine.recommend_many(ids)
-        # pools are now live/pending: nothing left to plan
-        assert engine.fill_shard_plan(ids) == {}
-        # unknown sessions are omitted, never an error (planning is advisory)
-        assert engine.fill_shard_plan(["ghost"]) == {}
+    """Engine fills agree bit for bit: batched with serial, refill with fill."""
 
     def test_sharded_batched_matches_sharded_serial(
         self, serving_catalog, serving_profile
     ):
-        batched = make_engine(serving_catalog, serving_profile, pool_shards=4)
-        serial = make_engine(serving_catalog, serving_profile, pool_shards=4)
+        batched = make_engine(serving_catalog, serving_profile)
+        serial = make_engine(serving_catalog, serving_profile)
         ids_b = [batched.create_session(seed=4) for _ in range(3)]
         ids_s = [serial.create_session(seed=4) for _ in range(3)]
         rounds_b = batched.recommend_many(ids_b)
@@ -539,7 +380,7 @@ class TestShardedEngineEquivalence:
         self, serving_catalog, serving_profile
     ):
         """Key-derived fill seeds: an evicted pool rebuilds bit-identically."""
-        engine = make_engine(serving_catalog, serving_profile, pool_shards=2)
+        engine = make_engine(serving_catalog, serving_profile)
         a = engine.create_session(seed=5)
         engine.recommend(a)
         key = engine.sessions.acquire(a).pool_key
@@ -559,7 +400,6 @@ class TestWarmStart:
             catalog,
             profile,
             elicitation=fast_elicitation_config(num_random=0),
-            pool_shards=4,
             **overrides,
         )
         engine.warm_start(first_clicks)
@@ -585,7 +425,6 @@ class TestWarmStart:
             serving_catalog,
             serving_profile,
             elicitation=fast_elicitation_config(num_random=0),
-            pool_shards=4,
         )
         rw = warm.recommend(warm.create_session(seed=5))
         rc = cold.recommend(cold.create_session(seed=5))
@@ -633,7 +472,6 @@ class TestWarmStart:
             serving_catalog,
             serving_profile,
             elicitation=fast_elicitation_config(num_random=2),
-            pool_shards=4,
         )
         report = engine.warm_start(first_clicks=2)
         assert report.first_clicks_skipped
@@ -653,7 +491,6 @@ class TestWarmStart:
             serving_catalog,
             serving_profile,
             elicitation=fast_elicitation_config(num_random=0),
-            pool_shards=4,
         )
         engine.recommend(engine.create_session(seed=5))  # caches empty-prefix
         entries_before = len(engine.pool_repository)

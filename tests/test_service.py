@@ -151,11 +151,10 @@ class TestConeOncePerClick:
         )
         return derived, built
 
-    @pytest.mark.parametrize("pool_shards", [1, 4])
     def test_recommend_many_derives_each_fingerprint_once(
-        self, serving_catalog, serving_profile, monkeypatch, pool_shards
+        self, serving_catalog, serving_profile, monkeypatch
     ):
-        engine = make_engine(serving_catalog, serving_profile, pool_shards=pool_shards)
+        engine = make_engine(serving_catalog, serving_profile)
         ids = [engine.create_session(seed=5) for _ in range(4)]
         # One warm-up session walks round 1 -> click -> round 2, so every
         # cone, pool and top-k list the others need is already built.
@@ -385,7 +384,6 @@ class TestPoolSharing:
         "overrides",
         [
             {},
-            {"pool_shards": 4},
             {"partial_refill": True, "refill_psi": 0.2},
             {"topk_cache_size": 2},
             {"pool_cache_size": 1},
@@ -393,7 +391,6 @@ class TestPoolSharing:
         ],
         ids=[
             "default",
-            "shards",
             "partial-refill",
             "tiny-topk-cache",
             "tiny-pool-cache",
@@ -894,16 +891,11 @@ class TestSnapshotCompaction:
         engine.recommend_many(ids)
         return ids
 
-    def _sharded_engine(self, catalog, profile, store, **overrides):
-        return make_engine(
-            catalog, profile, store=store, pool_shards=4, **overrides
-        )
-
     def test_reference_snapshot_omits_the_pool_payload(
         self, serving_catalog, serving_profile
     ):
         store = MemorySessionStore()
-        engine = self._sharded_engine(serving_catalog, serving_profile, store)
+        engine = make_engine(serving_catalog, serving_profile, store=store)
         (sid,) = self._run_shared_sessions(engine, num_sessions=1)
         compact = engine.snapshot(sid, embed_pool=False)
         embedded = engine.snapshot(sid)
@@ -921,7 +913,7 @@ class TestSnapshotCompaction:
         self, serving_catalog, serving_profile
     ):
         store = MemorySessionStore()
-        engine = self._sharded_engine(serving_catalog, serving_profile, store)
+        engine = make_engine(serving_catalog, serving_profile, store=store)
         ids = self._run_shared_sessions(engine)
         for sid in ids:
             store.save(sid, engine.snapshot(sid, embed_pool=False))
@@ -934,16 +926,16 @@ class TestSnapshotCompaction:
     def test_restart_resolves_pools_by_fingerprint_without_resampling(
         self, serving_catalog, serving_profile
     ):
-        """Persist with a ShardedPoolRepository, restart the engine, restore:
+        """Persist, restart the engine, restore:
         pools come back by fingerprint from the store's pool table."""
         store = MemorySessionStore()
-        engine = self._sharded_engine(serving_catalog, serving_profile, store)
+        engine = make_engine(serving_catalog, serving_profile, store=store)
         ids = self._run_shared_sessions(engine)
         for sid in ids:
             store.save(sid, engine.snapshot(sid, embed_pool=False))
         expected = [presented_items(engine.recommend(sid)) for sid in ids]
 
-        restarted = self._sharded_engine(serving_catalog, serving_profile, store)
+        restarted = make_engine(serving_catalog, serving_profile, store=store)
         got = [presented_items(restarted.recommend(sid)) for sid in ids]
         assert got == expected
         stats = restarted.stats()
@@ -957,14 +949,14 @@ class TestSnapshotCompaction:
         """Resolution falls back to a deterministic refill only when both the
         repository and the store's pool table miss."""
         store = MemorySessionStore()
-        engine = self._sharded_engine(serving_catalog, serving_profile, store)
+        engine = make_engine(serving_catalog, serving_profile, store=store)
         ids = self._run_shared_sessions(engine)
         for sid in ids:
             store.save(sid, engine.snapshot(sid, embed_pool=False))
         for key in store.list_pool_keys():
             store.delete_pool(key)
 
-        restarted = self._sharded_engine(serving_catalog, serving_profile, store)
+        restarted = make_engine(serving_catalog, serving_profile, store=store)
         rounds = [restarted.recommend(sid) for sid in ids]
         assert all(round_.recommended for round_ in rounds)
         stats = restarted.stats()
@@ -977,8 +969,8 @@ class TestSnapshotCompaction:
         self, serving_catalog, serving_profile, tmp_path
     ):
         store = JsonSessionStore(str(tmp_path / "sessions"))
-        engine = self._sharded_engine(
-            serving_catalog, serving_profile, store, max_active_sessions=1
+        engine = make_engine(
+            serving_catalog, serving_profile, store=store, max_active_sessions=1
         )
         a = engine.create_session(seed=5)
         engine.recommend(a)
@@ -998,7 +990,7 @@ class TestSnapshotCompaction:
         mismatch and come back from the store's exact payload, not continue
         the session's saved RNG state against the wrong pool."""
         store = MemorySessionStore()
-        engine = self._sharded_engine(serving_catalog, serving_profile, store)
+        engine = make_engine(serving_catalog, serving_profile, store=store)
         sid = engine.create_session(seed=7)
         engine.recommend(sid)
         engine.feedback(sid, 0)
@@ -1006,7 +998,7 @@ class TestSnapshotCompaction:
         store.save(sid, engine.snapshot(sid, embed_pool=False))
         expected = presented_items(engine.recommend(sid))
 
-        restarted = self._sharded_engine(serving_catalog, serving_profile, store)
+        restarted = make_engine(serving_catalog, serving_profile, store=store)
         payload = store.load(sid)
         key = payload["pool"]["key"]
         # Simulate eviction + key-deterministic refill before the restore:

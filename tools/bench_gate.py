@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI performance gate: validate the benchmark metrics in ``BENCH_ci.json``.
 
-The gated benchmark modules (service, batch top-k, async front-end, sharded
-pool service) each assert their headline floor *and* record the measured
+The gated benchmark modules (service, batch top-k, async front-end, snapshot
+compaction, ...) each assert their headline floor *and* record the measured
 number via ``bench_utils.record_ci_metric``.  This script is the second, independent
 half of the ``bench-gate`` CI job: after the benchmarks have run it checks
 
@@ -41,19 +41,9 @@ PINNED_FLOORS = {
     "service_shared_vs_per_session_speedup": 2.0,
     "topk_batch_vs_sequential_speedup": 5.0,
     "async_vs_serial_throughput_speedup": 3.0,
-    # Sharded pool service: 4 inline shards must serve rounds
-    # bit-identical to the unsharded engine (the indicator is the metric)...
-    "sharding_equivalence": 1.0,
-    # ...and fingerprint-reference snapshots must shrink the session store by
-    # at least 5x on the 50-session pool-sharing workload.
+    # Fingerprint-reference snapshots must shrink the session store by at
+    # least 5x on the 50-session pool-sharing workload.
     "snapshot_compaction_ratio": 5.0,
-    # Process shard backend (PR 8): 4 process-backed shards resolving
-    # picklable FillSpecs in worker processes (distinct PIDs asserted by the
-    # benchmark) must serve rounds bit-identical to the unsharded engine.
-    # The process fill speedup stays unpinned here — single-core CI runners
-    # cannot overlap workers; the nightly multi-core job asserts > 1.2x via
-    # REQUIRE_MULTICORE_SPEEDUP=1.
-    "sharding_process_equivalence": 1.0,
     # Approximate pool reuse (PR 5): on the private-exploration miss workload
     # an ESS-gated reweighted donor pool must be served at least 3x faster
     # than the full resampling fill it replaces (measured ~8x), and the ESS
@@ -80,11 +70,10 @@ PINNED_FLOORS = {
     "incremental_search_speedup": 2.0,
     "partial_refill_speedup": 1.2,
     # Memory-mapped columnar catalog (PR 9): rounds served from an
-    # mmap-backed catalog — per-session, batched, and with pool fills
-    # resolved in process-shard workers that open the store by content
-    # digest — must be bit-identical to the materialized engine (the
-    # indicator is the metric), and attaching a cold store must beat
-    # rebuilding + re-argsorting the catalog by at least 10x.
+    # mmap-backed catalog — per-session and batched — must be bit-identical
+    # to the materialized engine (the indicator is the metric), and
+    # attaching a cold store must beat rebuilding + re-argsorting the
+    # catalog by at least 10x.
     "catalog_mmap_equivalence": 1.0,
     "catalog_cold_open_speedup": 10.0,
 }

@@ -12,7 +12,7 @@ duration, status, and the interesting attributes inline::
         dispatcher.queue_wait                 -1.92ms  +1.920ms session_id=sess-000003
         engine.recommend_many                  0.03ms +12.300ms sessions=4
           engine.provision                     0.05ms  +9.100ms sessions=4 sampled=1
-            pool.fill                          0.40ms  +8.600ms worker_pid=19865
+            pool.fill                          0.40ms  +8.600ms chain_seed=rejection
           search.topk                          9.20ms  +2.000ms pools=1 k=3
           engine.serve_round                  11.25ms  +0.250ms session_id=sess-000003
 
@@ -51,7 +51,7 @@ INTERESTING_ATTRS = (
     "adapted",
     "pools",
     "k",
-    "worker_pid",
+    "chain_seed",
     "rows",
     "unique_rows",
     "dedup_rate",
@@ -136,7 +136,7 @@ def selftest():
             )
             with tracer.span("engine.recommend_many", sessions=2):
                 with tracer.span("engine.provision", sessions=2, sampled=1):
-                    tracer.record_child("pool.fill", 0.004, worker_pid=4242)
+                    tracer.record_child("pool.fill", 0.004, chain_seed="apex")
                 with tracer.span("search.topk", pools=1, k=3):
                     pass
         sink.close()
@@ -153,7 +153,7 @@ def selftest():
             "dispatcher.queue_wait",
             "engine.recommend_many",
             "pool.fill",
-            "worker_pid=4242",
+            "chain_seed=apex",
             "sampled=1",
             "pools=1 k=3",
         ):
