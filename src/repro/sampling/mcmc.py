@@ -1,8 +1,9 @@
 """Metropolis–Hastings MCMC sampling inside the valid region (§3.2.2).
 
 Because the valid weight vectors form a single continuous convex region
-(Lemma 2), the sampler first finds one valid vector (via rejection sampling)
-and then performs a bounded random walk inside the region:
+(Lemma 2), the sampler first finds one valid vector (via rejection sampling,
+or the cone's Chebyshev centre when rejection cannot hit the cone) and then
+performs a bounded random walk inside the region:
 
 * the proposal ``Q(w' | w)`` is uniform over the ball of radius ``l_max``
   around the current state (symmetric, so it cancels in the acceptance ratio);
@@ -97,39 +98,49 @@ class MetropolisHastingsSampler(Sampler):
         like the prior, as the paper assumes); when the valid region's prior
         mass is below the rejection budget — high dimensionality, many
         accumulated preferences — the Chebyshev interior point of the
-        constraint cone seeds the chain instead, and burn-in washes out the
-        deterministic start.  The rung, recorded in ``stats["chain_seed"]``,
-        is ``"given"`` (the caller's ``initial_state``), ``"rejection"``,
-        ``"interior_point"`` (an LP, the one use of SciPy) or ``"apex"``.
+        constraint cone (a NumPy LP, :meth:`ConstraintSet.interior_point`)
+        seeds the chain instead, and burn-in washes out the deterministic
+        start.  Under hard constraints the LP runs first: a cone without an
+        interior point cannot be hit by rejection either, so such a chain
+        starts at the apex without spending the rejection budget.  Under a
+        noise model soft rejection can accept points outside the cone, so
+        rejection still goes first there.  The rung, recorded in
+        ``stats["chain_seed"]``, is ``"given"`` (the caller's
+        ``initial_state``), ``"rejection"``, ``"interior_point"`` or
+        ``"apex"``.
         """
         if self.initial_state is not None:
             if self.noise_probability is None and not constraints.is_valid(self.initial_state):
                 raise ValueError("the supplied initial_state violates the constraints")
             return self.initial_state, "given"
-        # A bounded seeding budget: below ~1e-5 acceptance, rejection seeding
-        # is hopeless and the interior-point fallback is both faster and sure.
-        seeder = RejectionSampler(
-            self.prior,
-            rng=self.rng,
-            noise_probability=self.noise_probability,
-            max_attempts=200_000,
-        )
-        try:
-            return seeder.sample_one_valid(constraints), "rejection"
-        except RejectionSamplingError:
-            interior = constraints.interior_point()
+        hard = self.noise_probability is None
+        interior = constraints.interior_point() if hard else None
+        if interior is not None or not hard:
+            # A bounded seeding budget: below ~1e-5 acceptance, rejection
+            # seeding is hopeless and the interior point is both faster and
+            # sure.
+            seeder = RejectionSampler(
+                self.prior,
+                rng=self.rng,
+                noise_probability=self.noise_probability,
+                max_attempts=200_000,
+            )
+            try:
+                return seeder.sample_one_valid(constraints), "rejection"
+            except RejectionSamplingError:
+                if interior is None:
+                    interior = constraints.interior_point()
             if interior is not None:
                 return interior, "interior_point"
-            # Degenerate feedback (e.g. near-identical presented packages)
-            # can collapse the cone to an empty-interior wedge.  Its apex —
-            # the origin — always satisfies the homogeneous half-spaces
-            # w · d >= 0 (with equality), so the chain starts there and the
-            # request is served instead of failing.  On a measure-zero wedge
-            # the chain may never move, degrading the pool to copies of the
-            # apex — the mean of a symmetric degenerate posterior; sampling
-            # *within* the wedge's affine hull (facial reduction) is a noted
-            # follow-on in ROADMAP.md.
-            return np.zeros(self.num_features), "apex"
+        # Degenerate feedback (e.g. near-identical presented packages) can
+        # collapse the cone to an empty-interior wedge.  Its apex — the
+        # origin — always satisfies the homogeneous half-spaces w · d >= 0
+        # (with equality), so the chain starts there and the request is
+        # served instead of failing.  On a measure-zero wedge the chain may
+        # never move, degrading the pool to copies of the apex — the mean of
+        # a symmetric degenerate posterior; sampling *within* the wedge's
+        # affine hull (facial reduction) is a noted follow-on in ROADMAP.md.
+        return np.zeros(self.num_features), "apex"
 
     # ---------------------------------------------------------------- sampling
     def sample(self, count: int, constraints: ConstraintSet) -> SamplePool:

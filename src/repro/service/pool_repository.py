@@ -94,6 +94,7 @@ class PoolRepository:
         self._fill_counter = None
         self._fill_samples = None
         self._fill_latency = None
+        self._chain_seeds = None
 
     def attach_telemetry(self, telemetry) -> None:
         """Bind the fill instruments and the apex alarm to ``telemetry``."""
@@ -108,6 +109,11 @@ class PoolRepository:
         )
         self._fill_latency = registry.histogram(
             "repro_pool_fill_seconds", "Wall-clock seconds per pool fill"
+        )
+        self._chain_seeds = registry.counter(
+            "repro_pool_chain_seed_total",
+            "MCMC fills by the rung that seeded the chain",
+            labels=("rung",),
         )
 
     # ----------------------------------------------------------------- storage
@@ -175,9 +181,12 @@ class PoolRepository:
     def record_fill(self, key: str, pool: SamplePool) -> None:
         """Count a completed fill; every fill passes through here.
 
-        A chain seeded at the prior's apex (``chain_seed == "apex"``) found
-        no interior point of the cone, so its pool may be copies of one
-        point: that fires the ``pool_apex_seed`` alarm.
+        Every MCMC fill counts under its seeding rung
+        (``repro_pool_chain_seed_total{rung=...}``: ``given``,
+        ``rejection``, ``interior_point`` or ``apex``).  A chain seeded at
+        the cone's apex (``chain_seed == "apex"``) found no interior point of
+        the cone, so its pool may be copies of one point: that also fires the
+        ``pool_apex_seed`` alarm.
         """
         self.fills += 1
         self.samples_filled += pool.size
@@ -188,7 +197,11 @@ class PoolRepository:
         seconds = pool.stats.get("fill_seconds")
         if seconds is not None:
             self._fill_latency.observe(float(seconds))
-        if pool.stats.get("chain_seed") == "apex":
+        chain_seed = pool.stats.get("chain_seed")
+        if chain_seed is None:
+            return
+        self._chain_seeds.labels(rung=chain_seed).inc()
+        if chain_seed == "apex":
             self.telemetry.alarm("pool_apex_seed", key=key, count=pool.size)
 
     def _fill(self, key: str, constraints: ConstraintSet, count: int) -> SamplePool:

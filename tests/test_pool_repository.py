@@ -40,12 +40,12 @@ def make_pool(size=4):
     return SamplePool.unweighted(np.random.default_rng(0).random((size, NUM_FEATURES)))
 
 
-def repo(capacity=16):
-    """A repository whose fills are key-seeded rejection fills (the engine's
-    contract, in miniature)."""
+def repo(capacity=16, sampler="rejection"):
+    """A repository whose fills are key-seeded ``sampler`` fills (the
+    engine's contract, in miniature)."""
 
     def spec_factory(key: str, constraints: ConstraintSet, count: int) -> FillSpec:
-        return FillSpec.for_fill(key, constraints, count, sampler="rejection", seed_root=0)
+        return FillSpec.for_fill(key, constraints, count, sampler=sampler, seed_root=0)
 
     return PoolRepository(
         spec_factory,
@@ -238,6 +238,29 @@ class TestApexSeedAlarm:
         engine.recommend(engine.create_session(seed=5))
         assert engine.pool_repository.fills == 1
         assert telemetry.alarm_count("pool_apex_seed") == 0
+
+
+class TestChainSeedCounter:
+    """``repro_pool_chain_seed_total{rung=...}`` counts MCMC fills by rung."""
+
+    def test_each_fill_raises_its_own_rung(self):
+        repository = repo(sampler="mcmc")
+        telemetry = Telemetry.disabled()
+        repository.attach_telemetry(telemetry)
+        rungs = telemetry.registry.counter("repro_pool_chain_seed_total", labels=("rung",))
+
+        def counts():
+            return {
+                rung: rungs.labels(rung=rung).value
+                for rung in ("given", "rejection", "interior_point", "apex")
+            }
+
+        direction = np.array([[0.5, -0.2, 0.1]])
+        repository.fill_one("flat", ConstraintSet(np.vstack([direction, -direction])), 10)
+        assert counts() == {"given": 0, "rejection": 0, "interior_point": 0, "apex": 1}
+        repository.fill_one("half", ConstraintSet(direction), 10)
+        assert counts() == {"given": 0, "rejection": 1, "interior_point": 0, "apex": 1}
+        assert telemetry.alarm_count("pool_apex_seed") == 1
 
 
 # ============================================================ fills in process

@@ -1,13 +1,17 @@
-"""Tests for ConstraintSet and SamplePool."""
+"""Tests for ConstraintSet, its Chebyshev simplex, and SamplePool."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core.packages import Package
 from repro.core.preferences import Preference, PreferenceStore
-from repro.sampling.base import ConstraintSet, SamplePool
+from repro.sampling import base
+from repro.sampling.base import ConstraintSet, SamplePool, SimplexError, chebyshev_centre
+from repro.sampling.gaussian_mixture import GaussianMixture
+from repro.sampling.mcmc import MetropolisHastingsSampler
 
 
 class TestConstraintSet:
@@ -136,6 +140,58 @@ class TestSamplePool:
         assert skewed.effective_sample_size() < balanced.effective_sample_size()
 
 
+#: A cone a seed-1 ``noisy_churn`` run (perfbench) filled three times: eight
+#: contradictory clicks in four features leave only the origin, so every
+#: fill starts its chain at the apex.
+NOISY_CHURN_APEX_CONE = np.array(
+    [
+        [-0.11143238453122373, 0.008409485624114033, 0.0, 0.0],
+        [0.012272348423537638, 0.010850826231965427, 0.0, 0.12019398177127952],
+        [0.570775967341717, 0.24238609805939781, 0.6845899157656842, -0.27401207237673114],
+        [0.4165189643101169, 0.9454593706823563, 0.21939763064115414, -0.053539721223361175],
+        [-0.0071860824987125815, -0.5531989606500882, -0.4872387947095805, -0.35991893077929404],
+        [0.1012236074827311, -0.48933348261507675, -0.4872387947095805, -0.4870323027126453],
+        [0.051281143994678646, -0.5440963739547491, -0.4872387947095805, -0.35155920042835964],
+        [-0.02006722520241494, -0.47566475367690136, -0.36047824942898105, 0.46977564739530764],
+    ]
+)
+
+
+def seeded_cone(rng, family):
+    """A random cone in 2-10 features with 1-80 rows: consistent (family 0),
+    with one row's antipode added (1), or with a negated positive
+    combination of up to three rows added (2).  Families 1 and 2 have no
+    interior."""
+    m = int(rng.integers(2, 11))
+    rows = rng.normal(size=(int(rng.integers(1, 81)), m))
+    rows[rows @ rng.normal(size=m) < 0] *= -1
+    if family == 1:
+        rows = np.vstack([rows, -rows[rng.integers(len(rows))]])
+    elif family == 2:
+        picked = rng.choice(len(rows), min(len(rows), int(rng.integers(1, 4))), replace=False)
+        rows = np.vstack([rows, -(rng.uniform(0.1, 2.0, len(picked)) @ rows[picked])])
+    rng.shuffle(rows)
+    return rows
+
+
+def highs_centre(unit):
+    """The same Chebyshev LP solved by SciPy's HiGHS, as ``(w, t)``."""
+    from scipy.optimize import linprog
+
+    m = unit.shape[1]
+    objective = np.zeros(m + 1)
+    objective[-1] = -1.0
+    result = linprog(
+        objective,
+        A_ub=np.hstack([-unit, np.ones((len(unit), 1))]),
+        b_ub=np.zeros(len(unit)),
+        bounds=[(-1.0, 1.0)] * m + [(0.0, 1.0)],
+        method="highs",
+    )
+    assert result.success
+    return result.x[:m], result.x[m]
+
+
 class TestInteriorPoint:
     def test_empty_constraints_give_the_origin(self):
         point = ConstraintSet.empty(3).interior_point()
@@ -158,9 +214,113 @@ class TestInteriorPoint:
         flat = ConstraintSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert flat.interior_point() is None
 
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError):
-            ConstraintSet.empty(2).interior_point(bound=0.0)
+    def test_noisy_churn_apex_cone_returns_none(self):
+        assert ConstraintSet(NOISY_CHURN_APEX_CONE).interior_point() is None
+
+    def test_zero_rows_are_ignored(self):
+        only_zero = ConstraintSet(np.zeros((3, 2)))
+        assert np.array_equal(only_zero.interior_point(), np.zeros(2))
+        half = ConstraintSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert half.interior_point()[0] > 0
+
+
+class TestChebyshevSimplex:
+    def test_agrees_with_highs_on_seeded_cones(self, monkeypatch):
+        """1002 cones of the three families: the same verdict as HiGHS, the
+        same optimal slack, and a strictly valid point whenever one exists."""
+        solved = []
+
+        def recording_centre(unit):
+            solved.append(chebyshev_centre(unit))
+            return solved[-1]
+
+        monkeypatch.setattr(base, "chebyshev_centre", recording_centre)
+        rng = np.random.default_rng(2014)
+        interiors = 0
+        for index in range(1002):
+            rows = seeded_cone(rng, index % 3)
+            point = ConstraintSet(rows).interior_point()
+            reference_point, reference_slack = highs_centre(
+                rows / np.linalg.norm(rows, axis=1)[:, None]
+            )
+            reference_has_interior = reference_slack > 0 and (rows @ reference_point >= 0).all()
+            assert (point is not None) == reference_has_interior, index
+            assert abs(solved[-1][1] - reference_slack) <= 1e-9, index
+            if point is not None:
+                interiors += 1
+                assert (rows @ point > 0).all(), index
+        assert interiors == 334  # every consistent cone, and only those
+
+    def test_terminates_on_a_highly_degenerate_input(self):
+        """Duplicated rows, zero rows and an all-zero right-hand side: every
+        cone row ties in every ratio test at the origin."""
+        rng = np.random.default_rng(5)
+        unit = rng.normal(size=(3, 6))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        _, slack = chebyshev_centre(np.vstack([unit] * 20))
+        assert slack == pytest.approx(highs_centre(unit)[1], abs=1e-9)
+        # A zero row reads 0 >= t: the optimum is t = 0 at the origin.
+        point, slack = chebyshev_centre(np.vstack([unit] * 20 + [np.zeros((5, 6))]))
+        assert slack == 0.0
+        cone = ConstraintSet(np.vstack([unit] * 20 + [np.zeros((5, 6)), -unit[:1]] * 3))
+        assert cone.interior_point() is None
+
+    def test_the_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(base, "SIMPLEX_PIVOTS_PER_ROW", 0)
+        with pytest.raises(SimplexError):
+            ConstraintSet(np.array([[1.0, 0.0]])).interior_point()
+
+
+def _seed_order_cones():
+    """Rejection cones (some under a noise model) and cones with no
+    interior, which seed at the apex, plus the ``noisy_churn`` apex cone."""
+    rng = np.random.default_rng(2014)
+    cones = []
+    for index in range(12):
+        m = 2 + index % 4
+        rows = rng.normal(size=(1 + index % 3, m))
+        rows[rows @ rng.normal(size=m) < 0] *= -1
+        noisy = index % 4 == 3
+        cones.append((rows, 0.7 if noisy else None))
+        if not noisy:
+            negated = -rows[:1] if index % 2 else -rows.sum(axis=0)[None]
+            cones.append((np.vstack([rows, negated]), None))
+    cones.append((NOISY_CHURN_APEX_CONE, None))
+    return cones
+
+
+class TestChainSeedOrder:
+    def test_pools_are_unchanged_from_the_rejection_first_order(self):
+        """MCMC pools over rejection-seeded and apex-seeded cones hash to the
+        literal computed when every chain tried 200k rejection draws before
+        the LP.  Skipping those draws on a cone with no interior leaves the
+        chain's RNG elsewhere, but a chain at the apex of such a cone never
+        moves, so its pool and statistics are the same.  LP-seeded pools are
+        left out: the simplex may pick another optimal vertex than the
+        solver the literal was computed with."""
+        digest = hashlib.blake2b(digest_size=16)
+        rungs = []
+        for seed, (rows, noise) in enumerate(_seed_order_cones()):
+            prior = GaussianMixture.default_prior(rows.shape[1], rng=0)
+            pool = MetropolisHastingsSampler(prior, rng=seed, noise_probability=noise).sample(
+                20, ConstraintSet(rows)
+            )
+            rungs.append(pool.stats["chain_seed"])
+            digest.update(pool.samples.tobytes())
+            digest.update(repr(sorted(pool.stats.items())).encode())
+        assert rungs.count("rejection") == 12 and rungs.count("apex") == 10
+        assert digest.hexdigest() == "41f4c2d1b40572190ca45d85fb47fccc"
+
+    def test_a_cone_without_interior_skips_rejection(self, monkeypatch):
+        def refuse(self, constraints):
+            raise AssertionError("rejection seeding ran on a cone with no interior")
+
+        monkeypatch.setattr("repro.sampling.mcmc.RejectionSampler.sample_one_valid", refuse)
+        pool = MetropolisHastingsSampler(GaussianMixture.default_prior(4, rng=0), rng=0).sample(
+            5, ConstraintSet(NOISY_CHURN_APEX_CONE)
+        )
+        assert pool.stats["chain_seed"] == "apex"
+        assert not pool.samples.any()
 
 
 class TestFingerprintAndCopy:

@@ -1,13 +1,15 @@
-"""SciPy is loaded only where an LP is solved.
+"""No SciPy at runtime.
 
 The prior's densities are NumPy (SciPy's closed form, evaluated with the
-same operations), and so is the importance proposal: serving, MCMC fills
-seeded by rejection and importance fills load no SciPy module at all.  Only
-the Chebyshev seed ``ConstraintSet.interior_point()`` imports
-``scipy.optimize``, inside the function.  ``scipy.stats`` alone costs a
-process about 60 MB of RSS.  The densities match eager SciPy components bit
-for bit on every prior the library builds, and a bad covariance is still
-refused when the prior is built.
+same operations), the importance proposal is a NumPy mixture, and the
+Chebyshev seed ``ConstraintSet.interior_point()`` is a NumPy simplex: no
+module in ``src/`` imports SciPy, and serving, rejection-seeded,
+LP-seeded and apex MCMC fills and importance fills all run in an
+interpreter where ``import scipy`` fails.  ``scipy.stats`` alone costs a
+process about 60 MB of RSS and ``scipy.optimize`` about 40 MB.  The
+densities match eager SciPy components bit for bit on every prior the
+library builds, and a bad covariance is still refused when the prior is
+built.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ from repro.sampling.gaussian_mixture import GaussianMixture
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
 
-#: Serves identical-prefix rounds on perfbench's stack definition (catalog,
-#: elicitation config, default engine), then runs a rejection-seeded MCMC
-#: fill, an importance fill and an LP-seeded MCMC fill, reporting the loaded
-#: SciPy modules after each step.
+#: With ``import scipy`` made to fail, serves identical-prefix rounds on
+#: perfbench's stack definition (catalog, elicitation config, default
+#: engine), then runs a rejection-seeded MCMC fill, an importance fill, an
+#: LP-seeded MCMC fill and an apex-seeded MCMC fill.
 SERVE_SCRIPT = textwrap.dedent(
     """
     import sys
 
+    sys.modules["scipy"] = None  # any SciPy import now raises ImportError
     sys.path.insert(0, "perfbench")
 
     import numpy as np
@@ -53,13 +56,9 @@ SERVE_SCRIPT = textwrap.dedent(
     from repro.service import EngineConfig, RecommendationEngine
     from repro.simulation.traffic import build_user_population, session_seed_for
 
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
     def report(name, value):
         print(name, value)
 
-    assert not scipy_modules(), scipy_modules()[:5]
     catalog = ItemCatalog(
         generate_uniform(CATALOG_ITEMS, CATALOG_FEATURES, rng=CATALOG_SEED)
     )
@@ -77,7 +76,6 @@ SERVE_SCRIPT = textwrap.dedent(
     stats = engine.stats()
     report("pools_built", stats.pools_built)
     report("topk_hits", stats.topk_cache["hits"])
-    report("served", len(scipy_modules()))
 
     # A thin cone around the first axis: one shared block cannot fill it,
     # so the batch sampler falls back to MCMC, which rejection seeds.
@@ -90,12 +88,11 @@ SERVE_SCRIPT = textwrap.dedent(
     report("thin_fell_back", int(pool.stats["fell_back"]))
     report("thin_chain_seed", pool.stats["chain_seed"])
     report("thin_valid", int(thin.valid_mask(pool.samples).all()))
-    report("mcmc", len(scipy_modules()))
 
-    ImportanceSampler(engine.prior, rng=0).sample(
+    pool = ImportanceSampler(engine.prior, rng=0).sample(
         8, ConstraintSet.empty(CATALOG_FEATURES)
     )
-    report("importance", len(scipy_modules()))
+    report("importance_size", pool.size)
 
     # Eighty constraints in ten dimensions: rejection seeding exhausts its
     # budget and the Chebyshev LP seeds the chain.
@@ -103,12 +100,23 @@ SERVE_SCRIPT = textwrap.dedent(
     hidden = rng.uniform(-1, 1, 10)
     directions = rng.normal(size=(80, 10))
     directions[directions @ hidden < 0] *= -1
+    lp_cone = ConstraintSet(directions)
     pool = MetropolisHastingsSampler(
         GaussianMixture.default_prior(10, rng=0), rng=1
-    ).sample(8, ConstraintSet(directions))
+    ).sample(8, lp_cone)
     report("lp_chain_seed", pool.stats["chain_seed"])
-    report("lp_optimize", int("scipy.optimize" in sys.modules))
-    report("lp_stats", int(any(m.startswith("scipy.stats") for m in sys.modules)))
+    report("lp_valid", int(lp_cone.valid_mask(pool.samples).all()))
+
+    # [d; -d] leaves only a hyperplane: the LP finds no interior.
+    direction = np.array([[0.5, -0.2, 0.1, 0.3]])
+    pool = MetropolisHastingsSampler(
+        GaussianMixture.default_prior(4, rng=0), rng=1
+    ).sample(8, ConstraintSet(np.vstack([direction, -direction])))
+    report("apex_chain_seed", pool.stats["chain_seed"])
+    report("scipy_loaded", int(any(
+        module is not None and name.split(".")[0] == "scipy"
+        for name, module in sys.modules.items()
+    )))
     """
 )
 
@@ -140,26 +148,30 @@ def serve_report() -> dict:
 
 
 class TestServingLoadsNoScipy:
+    """Each step ran in an interpreter where ``import scipy`` raises, so
+    reaching its report line means it needed no SciPy."""
+
     def test_cache_hit_serving_loads_no_scipy(self, serve_report):
         # Four identical-prefix sessions of four rounds: the first builds
         # every pool, the other three hit both caches.
         assert serve_report["pools_built"] == 4
         assert serve_report["topk_hits"] > 0
-        assert serve_report["served"] == 0
+        assert serve_report["scipy_loaded"] == 0
 
     def test_rejection_seeded_mcmc_fill_loads_no_scipy(self, serve_report):
         assert serve_report["thin_fell_back"] == 1
         assert serve_report["thin_chain_seed"] == "rejection"
         assert serve_report["thin_valid"] == 1
-        assert serve_report["mcmc"] == 0
 
     def test_importance_fill_loads_no_scipy(self, serve_report):
-        assert serve_report["importance"] == 0
+        assert serve_report["importance_size"] == 8
 
-    def test_lp_seeded_fill_loads_optimize_but_not_stats(self, serve_report):
+    def test_lp_seeded_fill_loads_no_scipy(self, serve_report):
         assert serve_report["lp_chain_seed"] == "interior_point"
-        assert serve_report["lp_optimize"] == 1
-        assert serve_report["lp_stats"] == 0
+        assert serve_report["lp_valid"] == 1
+
+    def test_apex_fill_loads_no_scipy(self, serve_report):
+        assert serve_report["apex_chain_seed"] == "apex"
 
 
 def _scipy_imports(path: str):
@@ -190,7 +202,7 @@ def _scipy_imports(path: str):
 
 
 class TestImportRules:
-    """The AST form of the ruff rules in ``pyproject.toml`` (TID251/TID253)."""
+    """The AST form of the ruff rule in ``pyproject.toml`` (TID251)."""
 
     def _imports(self):
         imports = {}
@@ -211,14 +223,8 @@ class TestImportRules:
         }
         assert offenders == {}
 
-    def test_scipy_optimize_is_imported_only_by_the_lp_seed(self):
-        lp_seed = os.path.join("repro", "sampling", "base.py")
-        assert self._imports() == {
-            lp_seed: [
-                ("ConstraintSet.interior_point", "scipy.optimize"),
-                ("ConstraintSet.interior_point", "scipy.optimize.linprog"),
-            ]
-        }
+    def test_no_module_imports_scipy(self):
+        assert self._imports() == {}
 
     def test_the_scan_sees_every_import_form(self, tmp_path):
         source = tmp_path / "probe.py"
