@@ -37,7 +37,12 @@ from repro.core.items import ItemCatalog
 from repro.core.profiles import AggregateProfile, Aggregation
 from repro.core.packages import Package, PackageEvaluator
 from repro.core.utility import LinearUtility, sample_random_utility
-from repro.core.preferences import Preference, PreferenceCycleError, PreferenceStore
+from repro.core.preferences import (
+    HistoryTrie,
+    Preference,
+    PreferenceCycleError,
+    PreferenceStore,
+)
 from repro.core.ranking import RankingSemantics
 from repro.core.noise import NoiseModel
 from repro.core.predicates import (
@@ -136,6 +141,7 @@ __all__ = [
     "Preference",
     "PreferenceStore",
     "PreferenceCycleError",
+    "HistoryTrie",
     "RankingSemantics",
     "NoiseModel",
     "PackagePredicate",

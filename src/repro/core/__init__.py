@@ -11,7 +11,12 @@ from repro.core.items import ItemCatalog
 from repro.core.profiles import AggregateProfile, Aggregation
 from repro.core.packages import Package, PackageEvaluator
 from repro.core.utility import LinearUtility, sample_random_utility
-from repro.core.preferences import Preference, PreferenceStore, PreferenceCycleError
+from repro.core.preferences import (
+    HistoryTrie,
+    Preference,
+    PreferenceCycleError,
+    PreferenceStore,
+)
 from repro.core.ranking import (
     RankingSemantics,
     rank_packages_exp,
@@ -39,6 +44,7 @@ __all__ = [
     "Preference",
     "PreferenceStore",
     "PreferenceCycleError",
+    "HistoryTrie",
     "RankingSemantics",
     "rank_packages_exp",
     "rank_packages_tkp",

@@ -24,7 +24,7 @@ Typical usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.items import ItemCatalog
 from repro.core.noise import NoiseModel
 from repro.core.packages import Package, PackageEvaluator
-from repro.core.preferences import PreferenceStore
+from repro.core.preferences import HistoryTrie, PreferenceStore
 from repro.core.profiles import AggregateProfile
 from repro.core.predicates import PredicateSet
 from repro.core.ranking import RankingSemantics, rank_from_samples
@@ -182,7 +182,7 @@ class ElicitationConfig:
         self.semantics = RankingSemantics.parse(self.semantics)
 
 
-@dataclass
+@dataclass(init=False)
 class RecommendationRound:
     """What the system presented to the user in one round.
 
@@ -191,11 +191,28 @@ class RecommendationRound:
     recommended:
         The "exploit" packages: current best under the chosen semantics.
     random_packages:
-        The "explore" packages: drawn uniformly at random.
+        The "explore" packages: drawn uniformly at random (none by default).
+
+    Slotted: a session keeps its last round and a client every round it is
+    served.  A slot cannot carry a class-level default, so the default
+    empty list comes from the hand-written ``__init__``.
     """
 
+    __slots__ = ("recommended", "random_packages")
+
     recommended: List[Package]
-    random_packages: List[Package] = field(default_factory=list)
+    random_packages: List[Package]
+
+    def __init__(
+        self,
+        recommended: List[Package],
+        random_packages: Optional[List[Package]] = None,
+    ) -> None:
+        self.recommended = recommended
+        self.random_packages = [] if random_packages is None else random_packages
+
+    def __reduce__(self):
+        return (RecommendationRound, (self.recommended, self.random_packages))
 
     @property
     def presented(self) -> List[Package]:
@@ -239,6 +256,13 @@ class PackageRecommender:
     seed:
         Seed of the recommender's RNG, overriding ``config.seed``: a serving
         engine passes each session's seed beside one shared configuration.
+    history:
+        Optional :class:`~repro.core.preferences.HistoryTrie` over the
+        recommender's evaluator: :attr:`preferences` starts at its root and
+        each click moves it to the shared node of the click history, so
+        recommenders with one history share one store and one cone.  By
+        default the recommender keeps a private store and adds to it, as
+        it does to any private store set on :attr:`preferences`.
 
     The sampler and the §3.4 maintainer are built on first use: a session
     whose pools come from a provider never uses either.
@@ -254,6 +278,7 @@ class PackageRecommender:
         catalog_predicate=None,
         batch_searcher: Optional[BatchTopKPackageSearcher] = None,
         seed: Optional[int] = None,
+        history: Optional[HistoryTrie] = None,
     ) -> None:
         self.config = config if config is not None else ElicitationConfig()
         self.catalog = catalog
@@ -302,7 +327,13 @@ class PackageRecommender:
             if self.config.noise_psi is not None
             else None
         )
-        self.preferences = PreferenceStore(catalog.num_features, on_cycle="drop")
+        if history is None:
+            self.preferences = PreferenceStore(catalog.num_features, on_cycle="drop")
+        elif history.evaluator is not self.evaluator:
+            raise ValueError("history must be a trie over this recommender's evaluator")
+        else:
+            self.preferences = history.root
+        self.history = history
         self.catalog_predicate = catalog_predicate
         # The searcher's read-only array: sessions sharing a searcher share it.
         self._eligible_items = batch_searcher.eligible_items
@@ -314,8 +345,6 @@ class PackageRecommender:
         self._stale_pool: Optional[SamplePool] = None
         self._pool_provider: Optional[PoolProvider] = None
         self._last_round: Optional[RecommendationRound] = None
-        # (store, its length, constraint set) of the last constraints read.
-        self._constraints_cache: Optional[tuple] = None
         self.rounds_presented = 0
         self.clicks_received = 0
 
@@ -353,27 +382,11 @@ class PackageRecommender:
     def constraints(self) -> ConstraintSet:
         """The current feedback constraints (transitively reduced).
 
-        One :class:`ConstraintSet` is shared per click history: it comes
-        from the evaluator's cone memo, keyed by the accepted preference
-        edges, so every reader between two clicks, and every recommender
-        over the same evaluator with the same history, shares it and its
-        fingerprint.  A store holding preferences from elsewhere (a
-        snapshot blob) has no key and builds its own.  The store only
-        grows, so its length identifies its state.
+        The store's cone: the same object until the next accepted click,
+        and, on a trie node, the one every recommender with this click
+        history reads.
         """
-        store = self.preferences
-        cached = self._constraints_cache
-        if cached is None or cached[0] is not store or cached[1] != len(store):
-            key = store.cone_key(self.evaluator)
-            if key is None:
-                constraints = ConstraintSet.from_store(store)
-            else:
-                constraints = self.evaluator.memoized_cone(
-                    key, lambda: ConstraintSet.from_store(store)
-                )
-            cached = (store, len(store), constraints)
-            self._constraints_cache = cached
-        return cached[2]
+        return self.preferences.cone
 
     @property
     def num_feedback_preferences(self) -> int:
@@ -530,7 +543,14 @@ class PackageRecommender:
             presented = self._last_round.presented
         if clicked not in presented:
             raise ValueError("the clicked package must be one of the presented packages")
-        added = self.preferences.add_click_feedback(self.evaluator, clicked, presented)
+        if self.preferences.interned:
+            self.preferences, added = self.history.click(
+                self.preferences, clicked, presented
+            )
+        else:
+            added = self.preferences.add_click_feedback(
+                self.evaluator, clicked, presented
+            )
         self.clicks_received += 1
         if not added:
             return 0

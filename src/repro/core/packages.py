@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,14 +33,6 @@ from repro.utils.rng import RngLike, ensure_rng
 #: packages over and over, so a small memo catches nearly every repeat.
 VECTOR_MEMO_CAPACITY = 4096
 
-#: Most click cones one :class:`PackageEvaluator` memoizes for the
-#: recommenders built over it; the memo is cleared when full.  Sessions with
-#: one click history share one cone, and a serving engine's sessions walk
-#: few distinct histories.
-CONE_MEMO_CAPACITY = 1024
-
-_Cone = TypeVar("_Cone")
-
 
 @dataclass(frozen=True, order=True)
 class Package:
@@ -48,7 +40,10 @@ class Package:
 
     The sorted tuple doubles as the package's deterministic identifier, which
     the paper uses as the tie-breaker when two packages have equal utility.
+    Slotted: every served round holds its packages.
     """
+
+    __slots__ = ("items",)
 
     items: Tuple[int, ...]
 
@@ -85,6 +80,11 @@ class Package:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def __reduce__(self):
+        # A frozen slotted dataclass refuses the default slot-state
+        # unpickling; rebuild through the constructor.
+        return (Package, (self.items,))
 
 
 class AggregationState:
@@ -166,9 +166,7 @@ class PackageEvaluator:
     Normalised package vectors are memoized by item tuple (at most
     :data:`VECTOR_MEMO_CAPACITY` of them) as tuples of floats:
     :meth:`interned_vector` returns the shared tuple, :meth:`vector` a fresh
-    array built from it.  Beside them, :meth:`memoized_cone` keeps the click
-    cones of the recommenders that share this evaluator (at most
-    :data:`CONE_MEMO_CAPACITY`).
+    array built from it.
     """
 
     def __init__(
@@ -202,7 +200,6 @@ class PackageEvaluator:
             raise ValueError("normalisers must be strictly positive")
         self.normalisers = normalisers
         self._vector_memo: Dict[Tuple[int, ...], Tuple[float, ...]] = {}
-        self._cone_memo: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------ basics
     @property
@@ -228,22 +225,6 @@ class PackageEvaluator:
                 (self.raw_aggregate(package) / self.normalisers).tolist()
             )
         return vector
-
-    def memoized_cone(self, key: tuple, build: Callable[[], _Cone]) -> _Cone:
-        """The cone memoized under ``key``, or ``build()`` memoized there.
-
-        ``key`` must fix the cone given this evaluator: the recommender
-        passes its accepted preference edges in insertion order
-        (:meth:`~repro.core.preferences.PreferenceStore.cone_key`), whose
-        vectors are this evaluator's interned ones.
-        """
-        memo = self._cone_memo
-        cone = memo.get(key)
-        if cone is None:
-            if len(memo) >= CONE_MEMO_CAPACITY:
-                memo.clear()
-            cone = memo[key] = build()
-        return cone
 
     def vector(self, package: Package) -> np.ndarray:
         """Normalised feature vector of ``package`` (each entry in [0, 1]).

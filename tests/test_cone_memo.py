@@ -1,11 +1,12 @@
 """Sessions with one click history share one cone.
 
-A recommender reads its §3.3 cone from its evaluator's cone memo, keyed by
-the accepted preference edges in insertion order.  Every cone the memo
-serves must equal a fresh :meth:`ConstraintSet.from_store` over the same
-store: bit-equal directions and the same fingerprint.  Randomized over
-click sequences with cycle drops, blob restores, event-log replay and a
-memo cleared when full.
+A recommender over a :class:`HistoryTrie` reads its §3.3 cone from its
+history's node, the one node per click history the trie interns.  Every
+cone a node serves must equal a fresh :meth:`ConstraintSet.from_store`
+over the same store: bit-equal directions and the same fingerprint.
+Randomized over click sequences with cycle drops, blob restores, event-log
+replay and an index cleared when full; private stores never enter the
+trie.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import os
 import numpy as np
 import pytest
 
-import repro.core.packages as packages_module
 from repro.core.elicitation import ElicitationConfig, PackageRecommender
 from repro.core.items import ItemCatalog
-from repro.core.preferences import Preference
+from repro.core import preferences as preferences_module
+from repro.core.preferences import HistoryTrie, Preference, PreferenceStore
 from repro.core.profiles import AggregateProfile
 from repro.sampling.base import ConstraintSet
 from repro.service import EngineConfig, EventLogStore, RecommendationEngine
@@ -78,19 +79,23 @@ class TestRandomClickSequences:
     def test_memo_served_cones_equal_fresh_builds(self, catalog, profile):
         first = PackageRecommender(catalog, profile, _config())
         evaluator = first.evaluator
+        trie = HistoryTrie(evaluator)
         dropped = 0
         for trial in range(TRIALS):
             live = PackageRecommender(
-                catalog, profile, _config(), batch_searcher=first.batch_searcher
+                catalog, profile, _config(),
+                batch_searcher=first.batch_searcher, history=trie,
             )
             twin = PackageRecommender(
-                catalog, profile, _config(), batch_searcher=first.batch_searcher
+                catalog, profile, _config(),
+                batch_searcher=first.batch_searcher, history=trie,
             )
             for clicked, presented in _clicks(evaluator, trial):
                 live.feedback(clicked, presented)
                 cone = _assert_fresh(live)
                 twin.feedback(clicked, presented)
-                # One history, one cone object.
+                # One history, one node, one cone object.
+                assert twin.preferences is live.preferences
                 assert _assert_fresh(twin) is cone
             dropped += live.preferences.num_dropped
         assert dropped > 0  # the sequences did close cycles
@@ -100,18 +105,22 @@ class TestRandomClickSequences:
         rng = np.random.default_rng(0)
         a, b, c, d = (first.evaluator.random_package(rng) for _ in range(4))
         clicks = [(a, [a, b]), (c, [c, d])]
+        trie = HistoryTrie(first.evaluator)
         forward = PackageRecommender(
-            catalog, profile, _config(), batch_searcher=first.batch_searcher
+            catalog, profile, _config(),
+            batch_searcher=first.batch_searcher, history=trie,
         )
         backward = PackageRecommender(
-            catalog, profile, _config(), batch_searcher=first.batch_searcher
+            catalog, profile, _config(),
+            batch_searcher=first.batch_searcher, history=trie,
         )
         for clicked, presented in clicks:
             forward.feedback(clicked, presented)
         for clicked, presented in reversed(clicks):
             backward.feedback(clicked, presented)
         # One edge set; the reduced rows keep insertion order, so the
-        # direction matrices differ and so must the cones.
+        # direction matrices differ and so must the nodes and cones.
+        assert backward.preferences is not forward.preferences
         assert _assert_fresh(backward) is not _assert_fresh(forward)
         assert backward.constraints.fingerprint() == forward.constraints.fingerprint()
 
@@ -121,28 +130,41 @@ class TestRandomClickSequences:
         for clicked, presented in _clicks(one.evaluator, 0):
             one.feedback(clicked, presented)
             two.feedback(clicked, presented)
+        # Without a trie each keeps a private store and adds to it in place.
+        assert one.history is None and not one.preferences.interned
         cone, other = _assert_fresh(one), _assert_fresh(two)
         assert cone is not other
         assert cone.directions.tobytes() == other.directions.tobytes()
 
     def test_foreign_vectors_never_share_a_cone(self, catalog, profile):
-        live = PackageRecommender(catalog, profile, _config())
-        evaluator = live.evaluator
-        assert live.preferences.cone_key(evaluator) == ()
+        first = PackageRecommender(catalog, profile, _config())
+        evaluator = first.evaluator
+        trie = HistoryTrie(evaluator)
+        live = PackageRecommender(
+            catalog, profile, _config(),
+            batch_searcher=first.batch_searcher, history=trie,
+        )
+        assert live.preferences is trie.root
         clicks = list(_clicks(evaluator, 1))
         for clicked, presented in clicks[:4]:
             live.feedback(clicked, presented)
         _assert_fresh(live)
+        assert live.preferences.interned
+        # A shared node is read-only: adding to it would change every
+        # session that holds it.
+        with pytest.raises(ValueError, match="read-only"):
+            live.preferences.add(live.preferences.preferences[0])
         # Another catalog's evaluator gives the same packages other vectors.
         other_catalog = ItemCatalog(np.random.default_rng(4).random((8, 3)))
         other = PackageRecommender(other_catalog, profile, _config()).evaluator
-        assert live.preferences.cone_key(other) is None
         # The same edges in the same order, holding those vectors, added as
-        # a snapshot restore adds them: an items-only key would hand this
-        # store the live session's cone.
+        # a snapshot restore adds them: to a private store, which a trie
+        # keyed by clicks would otherwise mistake for the live history.
         restored = PackageRecommender(
-            catalog, profile, _config(), batch_searcher=live.batch_searcher
+            catalog, profile, _config(),
+            batch_searcher=live.batch_searcher, history=trie,
         )
+        restored.preferences = PreferenceStore(3, on_cycle="drop")
         for preference in live.preferences.preferences:
             restored.preferences.add(
                 Preference.from_vectors(
@@ -152,35 +174,36 @@ class TestRandomClickSequences:
                     other=preference.other,
                 )
             )
-        assert restored.preferences.cone_key(evaluator) is None
+        assert not restored.preferences.interned
         assert _assert_fresh(restored) is not live.constraints
-        size = len(evaluator._cone_memo)
+        size = trie.describe()["nodes"]
+        store = restored.preferences
         for clicked, presented in clicks[4:]:
             restored.feedback(clicked, presented)
+            assert restored.preferences is store  # added in place
             _assert_fresh(restored)
-        assert len(evaluator._cone_memo) == size
+        assert trie.describe()["nodes"] == size
 
 
 class TestCleared:
     def test_a_full_memo_is_cleared_and_still_serves_fresh_cones(
         self, catalog, profile, monkeypatch
     ):
-        monkeypatch.setattr(packages_module, "CONE_MEMO_CAPACITY", 4)
+        monkeypatch.setattr(preferences_module, "HISTORY_INDEX_CAPACITY", 4)
         first = PackageRecommender(catalog, profile, _config())
-        memo = first.evaluator._cone_memo
-        largest, clears = 0, 0
+        trie = HistoryTrie(first.evaluator)
+        largest = 0
         for trial in range(TRIALS):
             recommender = PackageRecommender(
-                catalog, profile, _config(), batch_searcher=first.batch_searcher
+                catalog, profile, _config(),
+                batch_searcher=first.batch_searcher, history=trie,
             )
             for clicked, presented in _clicks(first.evaluator, trial):
-                size = len(memo)
                 recommender.feedback(clicked, presented)
                 _assert_fresh(recommender)
-                clears += len(memo) < size
-                largest = max(largest, len(memo))
+                largest = max(largest, trie.describe()["nodes"])
         assert largest == 4
-        assert clears > 0
+        assert trie.describe()["index_clears"] > 0
 
 
 def _engine(catalog, profile, store=None, **overrides) -> RecommendationEngine:
@@ -211,12 +234,15 @@ class TestServingPaths:
             live = engine.sessions.peek(session_id).recommender
             restored_engine.restore(engine.snapshot(session_id))
             restored = restored_engine.sessions.peek(session_id).recommender
-            assert restored.preferences.cone_key(restored.evaluator) is None
+            assert not restored.preferences.interned
             cone = _assert_fresh(restored)
             assert cone.directions.tobytes() == _assert_fresh(live).directions.tobytes()
         _serve(restored_engine, session_ids, rounds=2, seed=1)
         for session_id in session_ids:
-            _assert_fresh(restored_engine.sessions.peek(session_id).recommender)
+            restored = restored_engine.sessions.peek(session_id).recommender
+            assert not restored.preferences.interned
+            _assert_fresh(restored)
+        assert restored_engine.history.describe()["nodes_created"] == 0
 
     def test_replayed_sessions_share_the_memo(self, catalog, profile, tmp_path):
         store = EventLogStore(os.fspath(tmp_path / "log"))
@@ -226,14 +252,19 @@ class TestServingPaths:
         for session_id, seed in zip(session_ids, range(3)):
             resident.create_session(session_id=session_id, seed=seed)
         rng = np.random.default_rng(2)
+        nodes = {}
         for _ in range(3):
             for session_id in session_ids:
                 round_ = engine.recommend(session_id)
                 assert round_.presented == resident.recommend(session_id).presented
                 recommender = engine.sessions.peek(session_id).recommender
-                key = recommender.preferences.cone_key(engine.evaluator)
+                # Replay walked the trie back to the node the session held
+                # when it was swapped out.
+                assert recommender.preferences is nodes.get(
+                    session_id, engine.history.root
+                )
                 cone = _assert_fresh(recommender)
-                assert engine.evaluator._cone_memo[key] is cone
+                assert cone is recommender.preferences.cone
                 never_evicted = resident.sessions.peek(session_id).recommender
                 assert cone.directions.tobytes() == (
                     never_evicted.constraints.directions.tobytes()
@@ -241,5 +272,6 @@ class TestServingPaths:
                 click = int(rng.integers(len(round_.presented)))
                 engine.feedback(session_id, click)
                 resident.feedback(session_id, click)
+                nodes[session_id] = engine.sessions.peek(session_id).recommender.preferences
         assert engine.stats().sessions_restored > 0
         engine.event_log.close()

@@ -1,5 +1,8 @@
 """Tests for the end-to-end PackageRecommender elicitation loop."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,30 @@ class TestRecommendationRound:
         )
         assert len(round_) == 2
         assert round_.presented == [Package.of([1]), Package.of([2])]
+
+    def test_random_packages_default_to_a_fresh_empty_list(self):
+        one, two = RecommendationRound([Package.of([1])]), RecommendationRound([])
+        assert one.random_packages == [] and one.random_packages is not two.random_packages
+        assert one == RecommendationRound(recommended=[Package.of([1])], random_packages=[])
+
+    def test_slotted_without_an_instance_dict(self):
+        round_ = RecommendationRound([Package.of([1])], [Package.of([2])])
+        assert not hasattr(round_, "__dict__")
+        with pytest.raises(AttributeError):
+            round_.extra = 1
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_deepcopy_round_trip(self, protocol):
+        round_ = RecommendationRound([Package.of([1, 4])], [Package.of([2]), Package.of([3])])
+        for loaded in (
+            pickle.loads(pickle.dumps(round_, protocol=protocol)),
+            copy.deepcopy(round_),
+        ):
+            assert loaded == round_ and loaded is not round_
+            assert loaded.presented == round_.presented
+        assert round_ != RecommendationRound([Package.of([1, 4])])
+        with pytest.raises(TypeError):
+            hash(round_)  # a mutable dataclass stays unhashable
 
 
 class TestPackageRecommender:

@@ -1,5 +1,8 @@
 """Tests for Package, AggregationState and PackageEvaluator."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,28 @@ class TestPackage:
     def test_hashable_and_equal(self):
         assert Package.of([1, 2]) == Package.of([2, 1])
         assert len({Package.of([1, 2]), Package.of([2, 1])}) == 1
+
+    def test_slotted_without_an_instance_dict(self):
+        package = Package.of([4, 2])
+        assert not hasattr(package, "__dict__")
+        with pytest.raises(AttributeError):
+            package.items = (1,)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        package = Package.of([7, 3, 5])
+        loaded = pickle.loads(pickle.dumps(package, protocol=protocol))
+        assert loaded == package and loaded.items == (3, 5, 7)
+        assert hash(loaded) == hash(package)
+
+    def test_deepcopy_round_trip(self):
+        packages = [Package.of([2]), Package.of([1, 3])]
+        copied = copy.deepcopy(packages)
+        assert copied == packages
+        assert [hash(p) for p in copied] == [hash(p) for p in packages]
+        # Equality, hash and ordering are the item tuple's.
+        assert sorted(copied, reverse=True) == [Package.of([2]), Package.of([1, 3])]
+        assert hash(Package.of([1, 3])) == hash(((1, 3),))
 
 
 class TestAggregationState:

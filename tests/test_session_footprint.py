@@ -2,10 +2,11 @@
 
 An engine keeps every session resident up to ``max_active_sessions``, so
 per-session bytes set the serving process's peak memory.  The engine's
-sessions share the engine's evaluator and batch searcher (and through the
-evaluator one cone per click history), build no sampler or §3.4
-maintainer they never use, and hold a slim preference DAG; a standalone
-:class:`PackageRecommender` still builds its own objects.
+sessions share the engine's evaluator and batch searcher, hold a pointer
+into the engine's click-history trie (one preference DAG and one cone per
+history) instead of a store of their own, and build no sampler or §3.4
+maintainer they never use; a standalone :class:`PackageRecommender` still
+builds its own objects.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from repro.simulation.traffic import build_user_population, session_seed_for
 #: a per-node vector dict measured about 18 KB here; the slim layout about
 #: 10 KB; with the evaluator's interned package vectors and the engine's
 #: shared configuration, 6.7 KB; with one cone per click history shared
-#: through the evaluator's cone memo, 5.9 KB.
-MAX_BYTES_PER_SESSION = 8 * 1024
+#: through the evaluator's cone memo, 5.9 KB; with each click history
+#: interned once in the engine's history trie (no store per session) and
+#: slotted packages and rounds, 2.3 KB (2.5 KB with a catalog predicate),
+#: about 1.6 KB of which is the session's RNG.
+MAX_BYTES_PER_SESSION = 3 * 1024
 
 ROUNDS = 4
 SESSIONS = 200
@@ -140,6 +144,8 @@ def _bytes_per_cache_hit_session(engine, sessions: int = SESSIONS) -> float:
     finally:
         tracemalloc.stop()
     assert engine.stats().pools_built == ROUNDS  # only the warm-up built
+    # Every later session walked the warm-up's history: no node of its own.
+    assert engine.stats().history["nodes_created"] == ROUNDS
     return (after - before) / sessions
 
 
